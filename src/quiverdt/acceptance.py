@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .census import (
     CapExceeded,
@@ -171,22 +172,6 @@ _QUIVERS = {
 }
 
 
-def _dims_upto(q, total: int) -> list[tuple[int, ...]]:
-    n = len(q.vertices)
-    out = []
-
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == n:
-            if any(prefix):
-                out.append(prefix)
-            return
-        for v in range(left + 1):
-            rec(prefix + (v,), left - v)
-
-    rec((), total)
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def _oracle_table(quiver_name: str, flavor: str, workers: int):
     q = _QUIVERS[quiver_name]()
@@ -198,7 +183,7 @@ def _oracle_table(quiver_name: str, flavor: str, workers: int):
         s = nilpotent_module_constraint()
     else:
         raise ValueError(flavor)
-    dims = _dims_upto(q, 3)
+    dims = [k for k in product(range(4), repeat=len(q.vertices)) if 0 < sum(k) <= 3]
     return build_kac_table(q, dims, s, workers=workers, on_cap="skip"), len(dims)
 
 

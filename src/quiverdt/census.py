@@ -1,11 +1,20 @@
 """Brute-force censuses of quiver representations over prime fields.
 
-The enumeration engine walks the full representation space lexicographically
-(every matrix entry is a base-p digit of the point index), in chunks, with all
-per-point work vectorized through :mod:`quiverdt.modp`.  On top of raw point
-counts it computes:
+One enumeration engine, ``_scan``, walks the full representation space
+lexicographically (every matrix entry is a base-p digit of the point index),
+in chunks spread over worker threads, with all per-point work vectorized
+through :mod:`quiverdt.modp`.  Each chunk passes through up to three stages:
 
-* stack counts  |X(F_p)| / |GL_d(F_p)|,
+* the filter: relations and Serre constraints keep a subset of the points;
+* semistability, for a given stability condition: the kept points that
+  have no arrow-invariant graded subspace of a destabilising dimension
+  vector (a GL-invariant mask, so counting it is counting semistable points);
+* classification, through the endomorphism algebra of every kept point.
+
+Every public count is a view of the totals of one scan:
+
+* point counts and stack counts  |X(F_p)| / |GL_d(F_p)|,
+* semistable point counts,
 * isomorphism-class counts by Burnside's lemma (sum of |Aut|/|GL| over points),
 * indecomposable and absolutely indecomposable class counts via endomorphism
   algebras, and
@@ -32,21 +41,24 @@ nilpotent) iff x is, so only vectors with leading coefficient 1 are tested
 and counts are rescaled by p-1.
 
 All caps are explicit and raise :class:`CapExceeded`; nothing truncates
-silently.
+silently.  The point, word, subspace and End-system column caps are checked
+before the first chunk is enumerated.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import combinations, product
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exactalg import LaurentPoly
 from .modp import (
+    RREF_MAX_COLS,
     all_zero_mats,
     combos_with_leading_one,
     det_mod,
@@ -271,6 +283,7 @@ class _Workspace:
             self.cells.append((a.label, nt, ns))
             off += nt * ns
         self.total_cells = off
+        self.live_arrows = [a for a in self.work.arrows if d[a.src] > 0 and d[a.tgt] > 0]
         # endomorphism-system geometry
         self.col_offsets: dict[str, int] = {}
         c = 0
@@ -296,30 +309,33 @@ class _Workspace:
         return mats
 
 
-def _word_products_nilpotent_mask(
-    ws: _Workspace, mats: Mapping[str, np.ndarray], p: int, word_budget: int, B: int
-) -> np.ndarray:
-    """Mask of points whose module is nilpotent: every composable arrow word
-    of length sum(d) has zero product.  Words through a zero-dimensional
-    vertex vanish automatically and are skipped."""
-    length = ws.d.total()
-    arrows = [a for a in ws.work.arrows if ws.vdims[a.src] > 0 and ws.vdims[a.tgt] > 0]
-    if not arrows or length == 0:
-        return np.ones(B, dtype=bool)
-    by_src: dict[str, list] = {}
-    for a in arrows:
-        by_src.setdefault(a.src, []).append(a)
-    # Budget check: count composable words of the target length first.
+def _word_count(ws: _Workspace) -> int:
+    """Number of composable arrow words of length sum(d) that avoid every
+    zero-dimensional vertex (the others vanish automatically)."""
+    if not ws.live_arrows:
+        return 0
     frontier = {v: 1 for v in ws.work.vertices}
-    for _ in range(length):
+    for _ in range(ws.d.total()):
         nxt: dict[str, int] = {}
-        for a in arrows:
+        for a in ws.live_arrows:
             nxt[a.tgt] = nxt.get(a.tgt, 0) + frontier.get(a.src, 0)
         frontier = nxt
-    total_words = sum(frontier.values())
-    if total_words > word_budget:
-        raise CapExceeded("nilpotent-module word enumeration", total_words, word_budget)
+    return sum(frontier.values())
+
+
+def _word_products_nilpotent_mask(
+    ws: _Workspace, mats: Mapping[str, np.ndarray], p: int, B: int
+) -> np.ndarray:
+    """Mask of points whose module is nilpotent: every composable arrow word
+    of length sum(d) has zero product.  The words are counted against the
+    word budget by :func:`_scan` before any point is enumerated."""
+    length = ws.d.total()
     mask = np.ones(B, dtype=bool)
+    if not ws.live_arrows:
+        return mask
+    by_src: dict[str, list] = {}
+    for a in ws.live_arrows:
+        by_src.setdefault(a.src, []).append(a)
 
     def rec(prefix_prod: np.ndarray | None, at_vertex: str | None, depth: int) -> None:
         nonlocal mask
@@ -328,7 +344,7 @@ def _word_products_nilpotent_mask(
             return
         if prefix_prod is not None and not prefix_prod.any():
             return  # zero for every point: all longer words vanish too
-        candidates = arrows if at_vertex is None else by_src.get(at_vertex, [])
+        candidates = ws.live_arrows if at_vertex is None else by_src.get(at_vertex, [])
         for a in candidates:
             x = mats[a.label]
             prod = x if prefix_prod is None else mat_mul_mod(x, prefix_prod, p)
@@ -338,9 +354,7 @@ def _word_products_nilpotent_mask(
     return mask
 
 
-def _filter_mask(
-    ws: _Workspace, mats: Mapping[str, np.ndarray], p: int, word_budget: int, B: int
-) -> np.ndarray:
+def _filter_mask(ws: _Workspace, mats: Mapping[str, np.ndarray], p: int, B: int) -> np.ndarray:
     mask = np.ones(B, dtype=bool)
     # Serre clauses on cycle matrices.
     for cycle, kind in ws.constraint.clauses:
@@ -356,7 +370,7 @@ def _filter_mask(
         else:  # invertible
             mask &= det_mod(prod, p) != 0
     if ws.constraint.nilpotent_module:
-        mask &= _word_products_nilpotent_mask(ws, mats, p, word_budget, B)
+        mask &= _word_products_nilpotent_mask(ws, mats, p, B)
     # Moment-map relation on the doubled quiver.
     if ws.relations == "preprojective":
         for v in ws.base.vertices:
@@ -477,21 +491,97 @@ def _end_counts(
 
 
 # ---------------------------------------------------------------------------
+# Semistability stage
+# ---------------------------------------------------------------------------
+
+def _grassmannian_size(n: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^n (the Gaussian binomial)."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _subspaces(n: int, k: int, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every k-dimensional subspace U of F_p^n as a pair (basis, proj): the
+    (n, k) matrix whose columns are the reduced-echelon basis of U, and the
+    (n, n) matrix x -> x - basis @ x[pivots] whose kernel is exactly U."""
+    eye = np.eye(n, dtype=np.int64)
+    out = []
+    for pivots in combinations(range(n), k):
+        free_slots = [
+            (j, c)
+            for j in range(k)
+            for c in range(pivots[j] + 1, n)
+            if c not in pivots
+        ]
+        for values in product(range(p), repeat=len(free_slots)):
+            m = np.zeros((k, n), dtype=np.int64)
+            for j, pc in enumerate(pivots):
+                m[j, pc] = 1
+            for (j, c), val in zip(free_slots, values):
+                m[j, c] = val
+            out.append((m.T, (eye - m.T @ eye[list(pivots)]) % p))
+    return out
+
+
+def _destabilisers(
+    ws: _Workspace, z: StabilityCondition, p: int, subspace_budget: int
+) -> list[tuple[DimVector, list]]:
+    """Every sub-dimension vector e (0 < e < d, slope(e) > slope(d)) with the
+    subspaces of each vertex space of dimension e_v.  A point is semistable
+    iff no tuple of them is arrow-invariant.  The tuples of each e are
+    counted against ``subspace_budget`` before any subspace is built."""
+    d = ws.d
+    slope_d = slope(z, d)
+    out = []
+    for vals in product(*(range(n + 1) for n in d.values)):
+        e = DimVector(d.vertices, vals)
+        if e.is_zero() or vals == d.values or slope(z, e) <= slope_d:
+            continue
+        count = math.prod(_grassmannian_size(d[v], e[v], p) for v in d.vertices)
+        if count > subspace_budget:
+            raise CapExceeded("subspace enumeration", count, subspace_budget)
+        out.append((e, [_subspaces(d[v], e[v], p) for v in d.vertices]))
+    return out
+
+
+def _semistable_mask(
+    ws: _Workspace, mats: Mapping[str, np.ndarray], p: int, destabilisers: list, B: int
+) -> np.ndarray:
+    """Mask of points with no arrow-invariant graded subspace of any
+    destabilising dimension vector: for every arrow a, X_a maps U_{s(a)}
+    into U_{t(a)}, i.e. proj_{t(a)} @ X_a @ basis_{s(a)} vanishes."""
+    unstable = np.zeros(B, dtype=bool)
+    for e, per_vertex in destabilisers:
+        for combo in product(*per_vertex):
+            sub = dict(zip(ws.d.vertices, combo))
+            invariant = np.ones(B, dtype=bool)
+            for a in ws.work.arrows:
+                if e[a.src] == 0:
+                    continue  # the image of the zero space is zero: always inside
+                image = (sub[a.tgt][1] @ ((mats[a.label] @ sub[a.src][0]) % p)) % p
+                invariant &= ~image.reshape(B, -1).any(axis=1)
+            unstable |= invariant
+    return ~unstable
+
+
+# ---------------------------------------------------------------------------
 # Chunked census engine
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Totals:
     points: int = 0
+    semistable: int = 0
     units: int = 0
     units_indec: int = 0
     units_absindec: int = 0
 
     def __iadd__(self, other: "_Totals") -> "_Totals":
-        self.points += other.points
-        self.units += other.units
-        self.units_indec += other.units_indec
-        self.units_absindec += other.units_absindec
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
 
@@ -499,37 +589,49 @@ def _scan(
     ws: _Workspace,
     p: int,
     *,
-    need_classes: bool,
-    point_budget: int,
-    end_budget: int,
-    word_budget: int,
-    workers: int,
+    stability: StabilityCondition | None = None,
+    need_classes: bool = False,
+    point_budget: int = DEFAULT_POINT_BUDGET,
+    end_budget: int = DEFAULT_END_BUDGET,
+    word_budget: int = DEFAULT_WORD_BUDGET,
+    subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
+    workers: int = 1,
 ) -> _Totals:
+    """Totals over every point of the workspace: the filter-kept points, of
+    them the semistable ones (when ``stability`` is given), and the
+    Burnside unit sums (when ``need_classes``)."""
     if not is_prime(p):
         raise CensusError(f"modulus {p} is not prime")
     raw = p ** ws.total_cells
     if raw > point_budget:
         raise CapExceeded("point enumeration", raw, point_budget)
+    if ws.constraint.nilpotent_module:
+        words = _word_count(ws)
+        if words > word_budget:
+            raise CapExceeded("nilpotent-module word enumeration", words, word_budget)
+    destabilisers = [] if stability is None else _destabilisers(ws, stability, p, subspace_budget)
+    if need_classes and ws.end_cols > RREF_MAX_COLS:
+        raise CapExceeded("endomorphism system columns", ws.end_cols, RREF_MAX_COLS)
     workers = max(1, int(workers))
     chunk = min(_MAX_CHUNK, max(1, -(-raw // (4 * workers)) if workers > 1 else raw))
-    chunk = min(chunk, _MAX_CHUNK)
     spans = [(lo, min(lo + chunk, raw)) for lo in range(0, raw, chunk)]
 
     def run(span: tuple[int, int]) -> _Totals:
         lo, hi = span
         mats = ws.matrices_for_range(lo, hi, p)
-        mask = _filter_mask(ws, mats, p, word_budget, hi - lo)
+        mask = _filter_mask(ws, mats, p, hi - lo)
         t = _Totals(points=int(mask.sum()))
-        if not need_classes or t.points == 0:
+        if t.points == 0 or (stability is None and not need_classes):
             return t
         kept = {k: v[mask] for k, v in mats.items()}
-        e_arr, units, nilps = _end_counts(ws, kept, p, end_budget, t.points)
-        pe = np.power(np.int64(p), e_arr)
-        indec = units + nilps == pe
-        absin = nilps * p == pe
-        t.units = int(units.sum())
-        t.units_indec = int(units[indec].sum())
-        t.units_absindec = int(units[absin].sum())
+        if stability is not None:
+            t.semistable = int(_semistable_mask(ws, kept, p, destabilisers, t.points).sum())
+        if need_classes:
+            e_arr, units, nilps = _end_counts(ws, kept, p, end_budget, t.points)
+            pe = np.power(np.int64(p), e_arr)
+            t.units = int(units.sum())
+            t.units_indec = int(units[units + nilps == pe].sum())
+            t.units_absindec = int(units[nilps * p == pe].sum())
         return t
 
     total = _Totals()
@@ -541,6 +643,22 @@ def _scan(
             for part in ex.map(run, spans):
                 total += part
     return total
+
+
+def _census(
+    q: Quiver, d: DimVector, p: int, relations: str, s: SerreConstraint | None, **scan_args
+) -> _Totals:
+    """The totals of one census of the (quiver, dim, relations, constraint)
+    representation space; ``scan_args`` are those of :func:`_scan`."""
+    return _scan(_Workspace(q, d, relations, s), p, **scan_args)
+
+
+def _class_count(units: int, gl: int, name: str) -> int:
+    """A Burnside sum of |Aut| over points, divided by |GL|, as an integer."""
+    val = Fraction(units, gl)
+    if val.denominator != 1:
+        raise CensusError(f"Burnside sum for {name} classes is not an integer: {val}")
+    return int(val)
 
 
 def point_count(
@@ -560,17 +678,9 @@ def point_count(
     zero fiber of the moment map; Serre clauses may then reference starred
     arrow labels.
     """
-    ws = _Workspace(q, d, relations, s)
-    t = _scan(
-        ws,
-        p,
-        need_classes=False,
-        point_budget=point_budget,
-        end_budget=DEFAULT_END_BUDGET,
-        word_budget=word_budget,
-        workers=workers,
-    )
-    return t.points
+    return _census(
+        q, d, p, relations, s, point_budget=point_budget, word_budget=word_budget, workers=workers
+    ).points
 
 
 def stack_count(
@@ -583,6 +693,44 @@ def stack_count(
 ) -> Fraction:
     """point_count / |GL_d(F_p)| as an exact rational."""
     return Fraction(point_count(q, d, p, relations, s, **kwargs), gl_order(d, p))
+
+
+def semistable_point_count(
+    q: Quiver,
+    d: DimVector,
+    p: int,
+    z: StabilityCondition,
+    relations: str = "none",
+    s: SerreConstraint | None = None,
+    *,
+    point_budget: int = DEFAULT_POINT_BUDGET,
+    word_budget: int = DEFAULT_WORD_BUDGET,
+    subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
+    workers: int = 1,
+) -> int:
+    """Count of semistable points: no arrow-invariant proper nonzero graded
+    subspace of slope exceeding the slope of d.
+
+    Semistability is a stage of the chunked census: in each chunk, the points
+    the relations and constraint keep are tested against every echelon
+    subspace tuple of every destabilising sub-dimension vector e (slope(e) >
+    slope(d)), built once per census; ``subspace_budget`` caps the tuples of
+    each e.
+    """
+    if d.is_zero():
+        raise QuiverError("semistability of the zero dimension vector is undefined")
+    return _census(
+        q,
+        d,
+        p,
+        relations,
+        s,
+        stability=z,
+        point_budget=point_budget,
+        word_budget=word_budget,
+        subspace_budget=subspace_budget,
+        workers=workers,
+    ).semistable
 
 
 def census_report(
@@ -600,10 +748,12 @@ def census_report(
     """Full census: point/stack counts plus Burnside-weighted class counts."""
     if d.is_zero():
         raise QuiverError("census of the zero dimension vector is not defined")
-    ws = _Workspace(q, d, relations, s)
-    t = _scan(
-        ws,
+    t = _census(
+        q,
+        d,
         p,
+        relations,
+        s,
         need_classes=True,
         point_budget=point_budget,
         end_budget=end_budget,
@@ -611,22 +761,16 @@ def census_report(
         workers=workers,
     )
     gl = gl_order(d, p)
-    iso = Fraction(t.units, gl)
-    indec = Fraction(t.units_indec, gl)
-    absin = Fraction(t.units_absindec, gl)
-    for name, val in (("iso", iso), ("indecomposable", indec), ("abs-indecomposable", absin)):
-        if val.denominator != 1:
-            raise CensusError(f"Burnside sum for {name} classes is not an integer: {val}")
     return CensusReport(
         p=p,
         dim=d.values,
         relations=relations,
-        constraint=ws.constraint.describe(),
+        constraint=(s if s is not None else TRIVIAL_CONSTRAINT).describe(),
         point_count=t.points,
         stack_count=Fraction(t.points, gl),
-        iso_classes=int(iso),
-        indecomposable_classes=int(indec),
-        abs_indecomposable_classes=int(absin),
+        iso_classes=_class_count(t.units, gl, "iso"),
+        indecomposable_classes=_class_count(t.units_indec, gl, "indecomposable"),
+        abs_indecomposable_classes=_class_count(t.units_absindec, gl, "abs-indecomposable"),
     )
 
 
@@ -646,20 +790,19 @@ def count_abs_indecomposable(
     count of points whose endomorphism nilpotent count is p^(e-1))."""
     if d.is_zero():
         raise QuiverError("the zero representation is not indecomposable")
-    ws = _Workspace(q, d, relations, s)
-    t = _scan(
-        ws,
+    t = _census(
+        q,
+        d,
         p,
+        relations,
+        s,
         need_classes=True,
         point_budget=point_budget,
         end_budget=end_budget,
         word_budget=word_budget,
         workers=workers,
     )
-    val = Fraction(t.units_absindec, gl_order(d, p))
-    if val.denominator != 1:
-        raise CensusError(f"Burnside sum is not an integer: {val}")
-    return int(val)
+    return _class_count(t.units_absindec, gl_order(d, p), "abs-indecomposable")
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +832,8 @@ def endomorphism_algebra(
             dim=0, basis=[], unit_count=1, nilpotent_count=1, radical_dim=0, is_local=True
         )
     ws, mats = _rep_as_batch(rho)
+    if ws.end_cols > RREF_MAX_COLS:
+        raise CapExceeded("endomorphism system columns", ws.end_cols, RREF_MAX_COLS)
     K = _end_system(ws, mats, p, 1)
     rref, rank, pivmask = rref_mod(K, p)
     groups = nullspace_by_pattern(rref, rank, pivmask, p)
@@ -859,119 +1004,3 @@ def kac_polynomial(
     for p_i, y_i in zip(ps[: bound + 1], counts[: bound + 1]):
         assert sum(int(c) * p_i ** k for k, c in enumerate(coeffs)) == y_i
     return LaurentPoly.from_q_dict({k: int(c) for k, c in enumerate(coeffs) if c != 0})
-
-
-# ---------------------------------------------------------------------------
-# Semistability
-# ---------------------------------------------------------------------------
-
-def _subspaces(n: int, k: int, p: int) -> list[np.ndarray]:
-    """All k-dimensional subspaces of F_p^n as reduced-echelon basis matrices
-    of shape (k, n)."""
-    from itertools import combinations, product
-
-    out: list[np.ndarray] = []
-    if k == 0:
-        return [np.zeros((0, n), dtype=np.int64)]
-    for pivots in combinations(range(n), k):
-        free_slots = [
-            (j, c)
-            for j in range(k)
-            for c in range(pivots[j] + 1, n)
-            if c not in pivots
-        ]
-        for values in product(range(p), repeat=len(free_slots)):
-            m = np.zeros((k, n), dtype=np.int64)
-            for j, pc in enumerate(pivots):
-                m[j, pc] = 1
-            for (j, c), val in zip(free_slots, values):
-                m[j, c] = val
-            out.append(m)
-    return out
-
-
-def semistable_point_count(
-    q: Quiver,
-    d: DimVector,
-    p: int,
-    z: StabilityCondition,
-    relations: str = "none",
-    s: SerreConstraint | None = None,
-    *,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
-) -> int:
-    """Count of semistable points: no arrow-invariant proper nonzero graded
-    subspace of slope exceeding the slope of d.
-
-    Brute force: every candidate destabilizing sub-dimension-vector e (with
-    slope(e) > slope(d)) is checked via exhaustive enumeration of echelon
-    subspace tuples, vectorized across the point set.
-    """
-    if d.is_zero():
-        raise QuiverError("semistability of the zero dimension vector is undefined")
-    ws = _Workspace(q, d, relations, s)
-    raw = p ** ws.total_cells
-    if raw > point_budget:
-        raise CapExceeded("point enumeration", raw, point_budget)
-    mats = ws.matrices_for_range(0, raw, p)
-    mask = _filter_mask(ws, mats, p, word_budget, raw)
-    slope_d = slope(z, d)
-    # destabilizing candidate dimension vectors: 0 < e < d, slope(e) > slope(d)
-    destab_dims = []
-    for vals in _sub_boxes(d.values):
-        e = DimVector(d.vertices, vals)
-        if e.is_zero() or vals == d.values:
-            continue
-        if slope(z, e) > slope_d:
-            destab_dims.append(e)
-    destabilized = np.zeros(mask.shape[0], dtype=bool)
-    for e in destab_dims:
-        per_vertex = []
-        count = 1
-        for v in d.vertices:
-            subs = _subspaces(d[v], e[v], p)
-            per_vertex.append(subs)
-            count *= len(subs)
-        if count > subspace_budget:
-            raise CapExceeded("subspace enumeration", count, subspace_budget)
-        for combo in _cartesian(per_vertex):
-            bases = dict(zip(d.vertices, combo))
-            inv = np.ones(mask.shape[0], dtype=bool)
-            for a in ws.work.arrows:
-                ns_, nt_ = d[a.src], d[a.tgt]
-                ks, kt = e[a.src], e[a.tgt]
-                if ns_ == 0 or ks == 0:
-                    continue  # image of the zero space is zero: always inside
-                X = mats[a.label]
-                Us, Ut = bases[a.src], bases[a.tgt]
-                W = (X @ Us.T[None, :, :]) % p  # (B, nt, ks)
-                if kt == 0:
-                    inv &= ~np.any(W.reshape(W.shape[0], -1), axis=1)
-                    continue
-                piv = [int(np.argmax(Ut[j] != 0)) for j in range(kt)]
-                coords = W[:, piv, :]  # (B, kt, ks)
-                rec = (Ut.T[None, :, :] @ coords) % p
-                diff = (W - rec) % p
-                inv &= ~np.any(diff.reshape(diff.shape[0], -1), axis=1)
-            destabilized |= inv & mask
-    return int((mask & ~destabilized).sum())
-
-
-def _sub_boxes(limits: tuple[int, ...]):
-    if not limits:
-        yield ()
-        return
-    for head in range(limits[0] + 1):
-        for tail in _sub_boxes(limits[1:]):
-            yield (head,) + tail
-
-
-def _cartesian(groups: Sequence[list]):
-    if not groups:
-        yield ()
-        return
-    for head in groups[0]:
-        for tail in _cartesian(groups[1:]):
-            yield (head,) + tail

@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .acceptance import run_all
 from .census import (
@@ -282,20 +283,11 @@ def _run_census(args):
 
 def _run_series(args):
     q, _, s = _load_inputs(args)
-    dims = []
-
-    def rec(prefix, left):
-        if len(prefix) == len(q.vertices):
-            if any(prefix):
-                dims.append(prefix)
-            return
-        for v in range(left + 1):
-            rec(prefix + (v,), left - v)
-
-    rec((), args.order)
+    box = product(range(args.order + 1), repeat=len(q.vertices))
+    dims = [k for k in box if 0 < sum(k) <= args.order]
     table = build_kac_table(
         q,
-        sorted(dims),
+        dims,
         s,
         nodes=_parse_primes(args.primes),
         point_budget=args.point_budget,
@@ -315,18 +307,6 @@ def _run_series(args):
 def _run_hn(args):
     q, z, s = _load_inputs(args)
     d = _dim_of(q, args.dim)
-    box = []
-
-    def rec(prefix):
-        if len(prefix) == len(q.vertices):
-            if any(prefix):
-                box.append(prefix)
-            return
-        i = len(prefix)
-        for v in range(d.values[i] + 1):
-            rec(prefix + (v,))
-
-    rec(())
     totals = {
         k: stack_count(
             q,
@@ -337,7 +317,8 @@ def _run_hn(args):
             point_budget=args.point_budget,
             workers=args.workers,
         )
-        for k in sorted(box)
+        for k in product(*(range(n + 1) for n in d.values))
+        if any(k)
     }
     sst = hn_semistable_series(totals, q, z, d, args.p)
     return {

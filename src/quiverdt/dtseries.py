@@ -94,15 +94,10 @@ def series_variables(q: Quiver) -> tuple[str, ...]:
     return tuple(f"t_{v}" for v in q.vertices)
 
 
-def _dim_box(limits_or_n, order: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of the given length with nonnegative entries and total <= order."""
-    n = limits_or_n
-    if n == 0:
-        yield ()
-        return
-    for head in range(order + 1):
-        for tail in _dim_box(n - 1, order - head):
-            yield (head,) + tail
+def _dim_box(n: int, order: int) -> Iterator[tuple[int, ...]]:
+    """All n-tuples with nonnegative entries and total <= order, in
+    lexicographic order."""
+    return (k for k in itertools.product(range(order + 1), repeat=n) if sum(k) <= order)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +510,7 @@ def wallcross_check(
         ee = euler_form(q, dv, dv)
         tot = stack_count(q, dv, p, relations, s, point_budget=point_budget, workers=workers)
         npts = semistable_point_count(
-            q, dv, p, z, relations, s, point_budget=point_budget
+            q, dv, p, z, relations, s, point_budget=point_budget, workers=workers
         )
         sst = Fraction(npts, gl_order(dv, p))
         total_tw[k] = tot * _pow_frac(p, ee)

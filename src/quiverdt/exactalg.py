@@ -679,20 +679,6 @@ class TruncSeries:
         }
         return TruncSeries(rest, self.order - exponent, t)
 
-    def map_coeffs(self, fn) -> TruncSeries:
-        return TruncSeries(
-            self.variables, self.order, {k: fn(v) for k, v in self.terms.items()}
-        )
-
-    def eval_coeffs_q(self, q0: Fraction | int) -> dict[tuple[int, ...], Fraction]:
-        """Evaluate every coefficient at a numeric q; zero coefficients omitted."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, v in self.terms.items():
-            val = v.eval_q(q0)
-            if val != 0:
-                out[k] = val
-        return out
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -32,12 +32,14 @@ __all__ = [
     "all_zero_mats",
     "det_mod",
     "rref_mod",
+    "RREF_MAX_COLS",
     "nullspace_by_pattern",
     "combos_with_leading_one",
 ]
 
 _FAST_PRIME_MAX = 17
 _I16_MAX = np.iinfo(np.int16).max
+RREF_MAX_COLS = 62  # the pivot bitmask of rref_mod is an int64
 
 
 def is_prime(n: int) -> bool:
@@ -238,8 +240,8 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     reduction at the end returns canonical residues.
     """
     B, R, C = a.shape
-    if C >= 63:
-        raise ValueError("rref_mod supports at most 62 columns")
+    if C > RREF_MAX_COLS:
+        raise ValueError(f"rref_mod supports at most {RREF_MAX_COLS} columns")
     a = a.copy()
     inv = inverse_table(p).astype(a.dtype)
     rank = np.zeros(B, dtype=np.int64)

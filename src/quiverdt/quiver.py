@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import product
+from typing import Mapping, Sequence
 
 __all__ = [
     "Arrow",
@@ -100,9 +101,6 @@ class Quiver:
 
     # -- basic accessors -------------------------------------------------
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def arrow(self, label: str) -> Arrow:
         for a in self.arrows:
             if a.label == label:
@@ -111,13 +109,6 @@ class Quiver:
 
     def loops(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.src == a.tgt)
-
-    def is_symmetric(self) -> bool:
-        """True iff for every ordered vertex pair the arrow counts match."""
-        count: dict[tuple[str, str], int] = {}
-        for a in self.arrows:
-            count[(a.src, a.tgt)] = count.get((a.src, a.tgt), 0) + 1
-        return all(count.get((i, j), 0) == count.get((j, i), 0) for (i, j) in count)
 
     def dim(self, entries: Mapping[str, int] | Sequence[int]) -> DimVector:
         """Build a dimension vector for this quiver from a map or a sequence."""
@@ -155,10 +146,6 @@ class DimVector:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.values)
-
-    def key(self) -> tuple[int, ...]:
-        """The raw value tuple, used as a dict/series key."""
-        return self.values
 
     def __add__(self, other: DimVector) -> DimVector:
         self._check(other)
@@ -360,24 +347,14 @@ def is_generic(q: Quiver, z: StabilityCondition, bound: int) -> bool:
     """
     if bound < 1:
         raise QuiverError("genericity bound must be >= 1")
-    vecs = [DimVector(q.vertices, v) for v in _box(len(q.vertices), bound)]
-    vecs = [v for v in vecs if not v.is_zero()]
+    box = product(range(bound + 1), repeat=len(q.vertices))
+    vecs = [DimVector(q.vertices, v) for v in box if any(v)]
     for d in vecs:
         sd = slope(z, d)
         for e in vecs:
             if slope(z, e) == sd and antisym_form(q, d, e) != 0:
                 return False
     return True
-
-
-def _box(n: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All integer tuples of length n with entries in [0, bound]."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _box(n - 1, bound):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +370,6 @@ def hn_types(q: Quiver, z: StabilityCondition, d: DimVector) -> list[HNType]:
     """
     if d.is_zero():
         raise QuiverError("HN types of the zero dimension vector are undefined")
-    n = len(q.vertices)
-
-    def sub_vectors(remaining: tuple[int, ...]) -> list[tuple[int, ...]]:
-        ranges = [range(r + 1) for r in remaining]
-        out: list[tuple[int, ...]] = []
-
-        def rec(i: int, acc: tuple[int, ...]) -> None:
-            if i == n:
-                if any(acc):
-                    out.append(acc)
-                return
-            for v in ranges[i]:
-                rec(i + 1, acc + (v,))
-
-        rec(0, ())
-        return out
-
     results: list[HNType] = []
 
     def extend(parts: tuple[tuple[int, ...], ...], remaining: tuple[int, ...], last_slope: Fraction | None) -> None:
@@ -417,7 +377,9 @@ def hn_types(q: Quiver, z: StabilityCondition, d: DimVector) -> list[HNType]:
             if parts:
                 results.append(HNType(parts))
             return
-        for cand in sub_vectors(remaining):
+        for cand in product(*(range(r + 1) for r in remaining)):
+            if not any(cand):
+                continue
             s = slope(z, DimVector(q.vertices, cand))
             if last_slope is not None and s >= last_slope:
                 continue

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quiverdt import census
 from quiverdt.census import (
     CapExceeded,
     CensusError,
@@ -40,6 +41,17 @@ A2 = a2_quiver()
 PT = point_quiver()
 
 
+@pytest.fixture()
+def no_chunks(monkeypatch):
+    """Make enumerating any chunk of points an error, so that a cap raised
+    under this fixture was raised before the census started."""
+
+    def refuse(*args):
+        raise AssertionError("a chunk was enumerated before the caps were checked")
+
+    monkeypatch.setattr(census._Workspace, "matrices_for_range", refuse)
+
+
 # -- |GL| ---------------------------------------------------------------------
 
 def test_gl_order_values():
@@ -70,6 +82,8 @@ def test_unconstrained_point_count_is_full_space():
 
 def test_point_quiver_stack_count():
     assert stack_count(PT, PT.dim((1,)), 7) == Fraction(1, 6)
+    # no End system is built, so its column cap does not apply
+    assert point_count(PT, PT.dim((8,)), 2) == 1
 
 
 def test_invertible_commuting_pairs():
@@ -307,7 +321,7 @@ def test_semistable_equals_total_when_no_destabilizer():
 
 # -- budgets -----------------------------------------------------------------------------------
 
-def test_point_budget_cap():
+def test_point_budget_cap(no_chunks):
     with pytest.raises(CapExceeded) as ei:
         point_count(JQ, JQ.dim((2,)), 2, point_budget=10)
     assert ei.value.kind == "point enumeration"
@@ -321,19 +335,34 @@ def test_end_budget_cap_on_endomorphism_algebra():
     assert ei.value.kind == "endomorphism enumeration"
 
 
-def test_subspace_budget_cap():
+def test_subspace_budget_cap(no_chunks):
     z = StabilityCondition.from_map(A2, {"1": -1, "2": 0})
     with pytest.raises(CapExceeded) as ei:
         semistable_point_count(A2, A2.dim((2, 2)), 3, z, subspace_budget=2)
     assert ei.value.kind == "subspace enumeration"
+    # e = (1, 0): the 4 lines of F_3^2 at vertex 1 times the zero space at vertex 2
+    assert ei.value.required == 4
 
 
-def test_word_budget_cap():
+def test_word_budget_cap(no_chunks):
     ssn = nilpotent_module_constraint()
     with pytest.raises(CapExceeded) as ei:
         point_count(multi_loop_quiver(2), multi_loop_quiver(2).dim((2,)), 2, "none", ssn,
                     word_budget=3)
     assert ei.value.kind == "nilpotent-module word enumeration"
+
+
+def test_end_system_column_cap(no_chunks):
+    # End of an 8-dimensional point representation has 64 unknowns, more
+    # columns than rref_mod handles
+    with pytest.raises(CapExceeded) as ei:
+        census_report(PT, PT.dim((8,)), 2)
+    assert (ei.value.kind, ei.value.required, ei.value.budget) == (
+        "endomorphism system columns", 64, 62
+    )
+    with pytest.raises(CapExceeded) as ei:
+        endomorphism_algebra(MatrixRep(PT, 2, PT.dim((8,)), {}))
+    assert ei.value.kind == "endomorphism system columns"
 
 
 def test_cap_exceeded_message_names_numbers():
@@ -353,3 +382,12 @@ def test_census_deterministic_across_workers():
 def test_point_count_deterministic_across_workers():
     vals = {point_count(A2, A2.dim((2, 2)), 3, workers=w) for w in (1, 2, 8)}
     assert len(vals) == 1
+
+
+def test_semistable_count_deterministic_across_workers_and_chunks(monkeypatch):
+    z = StabilityCondition.from_map(A2, {"1": -1, "2": 0})
+    d = A2.dim((2, 2))
+    vals = [semistable_point_count(A2, d, 3, z, "preprojective", workers=w) for w in (1, 2, 8)]
+    monkeypatch.setattr(census, "_MAX_CHUNK", 7)  # chunk boundaries inside the 3^8 points
+    vals += [semistable_point_count(A2, d, 3, z, "preprojective", workers=w) for w in (1, 2, 8)]
+    assert vals == [48] * 6

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from quiverdt.cli import main
-from quiverdt.quiver import a2_quiver, jordan_quiver, quiver_to_dict
+from quiverdt.quiver import a2_quiver, jordan_quiver, point_quiver, quiver_to_dict
 
 
 @pytest.fixture()
@@ -154,6 +154,16 @@ def test_cap_exhaustion_exits_3_and_writes_nothing(jordan_file, tmp_path, capsys
     assert code == 3
     assert not out.exists()
     assert "budget" in capsys.readouterr().err
+
+
+def test_end_system_too_wide_exits_3_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(quiver_to_dict(point_quiver())), encoding="utf-8")
+    out = tmp_path / "never.json"
+    code = main(["census", "--quiver", str(path), "--dim", "8", "--p", "2", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert "endomorphism system columns" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage_error(jordan_file):

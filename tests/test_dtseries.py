@@ -243,6 +243,7 @@ def test_wallcross_a2_passes_and_perturbation_fails():
     z = StabilityCondition.from_map(A2, {"1": -1, "2": 0})
     rep = wallcross_check(A2, z, 2, 2)
     assert rep.passed
+    assert wallcross_check(A2, z, 2, 2, workers=2) == rep
     rows = {r.dim: r for r in rep.rows}
     assert rows[(1, 1)].lhs == Fraction(6)
     bad = wallcross_check(A2, z, 2, 2, perturb_twist=1)
