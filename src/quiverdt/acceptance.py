@@ -385,6 +385,11 @@ def _criterion_determinism(workers: int) -> tuple[bool, str]:
         qpath = os.path.join(td, "jordan.json")
         with open(qpath, "w", encoding="utf-8") as fh:
             json.dump(quiver_to_dict(jq), fh)
+        # The child imports quiverdt from where this process did, which need
+        # not be on PYTHONPATH (a caller may have put it on sys.path).
+        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_root, env.get("PYTHONPATH"))))
         outs = []
         for i in (1, 2):
             opath = os.path.join(td, f"out{i}.json")
@@ -403,6 +408,7 @@ def _criterion_determinism(workers: int) -> tuple[bool, str]:
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             if proc.returncode != 0:
                 return False, f"CLI run {i} exited {proc.returncode}: {proc.stderr.strip()}"

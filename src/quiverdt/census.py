@@ -113,17 +113,27 @@ _MAX_CHUNK = 1 << 16
 _PAIR_BLOCK = 1 << 20  # (point, line) pairs classified per vectorized block
 
 
+_END_COLUMNS = "endomorphism system columns"
+
+
 class CapExceeded(RuntimeError):
-    """A configured enumeration cap would be exceeded; nothing was computed."""
+    """A configured enumeration cap, or the fixed column limit of
+    ``rref_mod``, would be exceeded; nothing was computed."""
 
     def __init__(self, kind: str, required: int, budget: int):
         self.kind = kind
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{kind} needs {required} evaluations but the budget is {budget}; "
-            f"raise the relevant budget to proceed"
-        )
+        if kind == _END_COLUMNS:
+            super().__init__(
+                f"{kind}: the system has {required} columns but rref_mod handles at most "
+                f"{budget}; that is a fixed limit of rref_mod, which no option can raise"
+            )
+        else:
+            super().__init__(
+                f"{kind} needs {required} evaluations but the budget is {budget}; "
+                f"raise the relevant budget to proceed"
+            )
 
 
 class CensusError(RuntimeError):
@@ -611,7 +621,7 @@ def _scan(
             raise CapExceeded("nilpotent-module word enumeration", words, word_budget)
     destabilisers = [] if stability is None else _destabilisers(ws, stability, p, subspace_budget)
     if need_classes and ws.end_cols > RREF_MAX_COLS:
-        raise CapExceeded("endomorphism system columns", ws.end_cols, RREF_MAX_COLS)
+        raise CapExceeded(_END_COLUMNS, ws.end_cols, RREF_MAX_COLS)
     workers = max(1, int(workers))
     chunk = min(_MAX_CHUNK, max(1, -(-raw // (4 * workers)) if workers > 1 else raw))
     spans = [(lo, min(lo + chunk, raw)) for lo in range(0, raw, chunk)]
@@ -833,7 +843,7 @@ def endomorphism_algebra(
         )
     ws, mats = _rep_as_batch(rho)
     if ws.end_cols > RREF_MAX_COLS:
-        raise CapExceeded("endomorphism system columns", ws.end_cols, RREF_MAX_COLS)
+        raise CapExceeded(_END_COLUMNS, ws.end_cols, RREF_MAX_COLS)
     K = _end_system(ws, mats, p, 1)
     rref, rank, pivmask = rref_mod(K, p)
     groups = nullspace_by_pattern(rref, rank, pivmask, p)

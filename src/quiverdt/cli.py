@@ -437,7 +437,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         report, code = handler(args)
     except CapExceeded as exc:
-        sys.stderr.write(f"qdt {args.subcommand}: budget exhausted: {exc}\n")
+        sys.stderr.write(f"qdt {args.subcommand}: cap exceeded: {exc}\n")
         return 3
     except CensusError as exc:
         sys.stderr.write(f"qdt {args.subcommand}: consistency check failed: {exc}\n")

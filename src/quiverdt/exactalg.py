@@ -8,6 +8,16 @@ is the point-count variable.  Integer weight polynomials in q are Laurent
 polynomials supported on even u-exponents; evaluation at a numeric q refuses
 odd exponents rather than guessing a square root.
 
+Rational functions are kept in a unique canonical form (monic denominator
+with nonzero constant term, coprime to the numerator).  Every denominator the
+series code produces is a product of cyclotomic polynomials Phi_m(u), since
+``q^k - 1 = prod_{m | 2k} Phi_m(u)``; such a denominator is stored as the
+multiset of its m, and sums, products, scalings and Adams substitutions
+canonicalise by exact trial division by those Phi_m alone.  The Euclidean gcd
+over Q runs only for a denominator the constructor does not recognise as
+cyclotomic (division by an arbitrary polynomial), and for every operation on
+such a value.
+
 Truncated series are multivariate in formal symbols ``t_v`` (one per quiver
 vertex, or a single ``t``), truncated by *total* degree.  Binary operations
 between series with different truncation orders return the minimum order, so
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -311,6 +322,115 @@ def _dense_to_poly(a: Sequence[Fraction]) -> LaurentPoly:
     return LaurentPoly({e: v for e, v in enumerate(a) if v != 0})
 
 
+def _exact_div(a: list, b: Sequence[int]) -> list | None:
+    """The quotient of dense ``a`` by the monic dense ``b``, or None when
+    ``b`` does not divide ``a``."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    a = list(a)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(db):
+                if b[j]:
+                    a[i - db + j] -= c * b[j]
+    if any(a[:db]):
+        return None
+    return a[db:]
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic polynomials Phi_m(u)
+# ---------------------------------------------------------------------------
+
+_PHI: dict[int, tuple[int, ...]] = {}
+_CYC_PRODUCT: dict[tuple[tuple[int, int], ...], LaurentPoly] = {}
+
+
+def _phi(m: int) -> tuple[int, ...]:
+    """Dense integer coefficients of Phi_m(u), constant term first:
+    u^m - 1 divided by Phi_d for every proper divisor d of m."""
+    c = _PHI.get(m)
+    if c is None:
+        a = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                a = _exact_div(a, _phi(d))
+        c = _PHI[m] = tuple(a)
+    return c
+
+
+def _cyc_product(cyc: Mapping[int, int]) -> LaurentPoly:
+    """``prod Phi_m^e`` over the multiset ``{m: e}``."""
+    key = tuple(sorted(cyc.items()))
+    p = _CYC_PRODUCT.get(key)
+    if p is None:
+        p = LaurentPoly.one()
+        for m, e in key:
+            p = p * _dense_to_poly(_phi(m)) ** e
+        _CYC_PRODUCT[key] = p
+    return p
+
+
+def _cyclotomic_factors(d: list[Fraction]) -> dict[int, int] | None:
+    """The multiset ``{m: e}`` with ``d = prod Phi_m^e`` for a dense monic
+    ``d`` with nonzero constant term, or None when ``d`` is no such product.
+
+    A product of cyclotomics has integer coefficients, constant term
+    ``(-1)^e_1`` and ``d[n-i] = d[0] d[i]`` (Phi_1 is anti-palindromic, every
+    other Phi_m palindromic); only then are the Phi_m with phi(m) <= deg d
+    tried.  Since phi(m) >= sqrt(m) for m > 6, those m are at most
+    max(6, deg^2).
+    """
+    n = len(d) - 1
+    if n == 0:
+        return {}
+    if any(v.denominator != 1 for v in d) or abs(d[0]) != 1:
+        return None
+    if any(d[n - i] != d[0] * d[i] for i in range(n + 1)):
+        return None
+    top = max(6, n * n)
+    totient = list(range(top + 1))
+    for p in range(2, top + 1):
+        if totient[p] == p:
+            for k in range(p, top + 1, p):
+                totient[k] -= totient[k] // p
+    cyc: dict[int, int] = {}
+    for m in range(1, top + 1):
+        if len(d) == 1:
+            return cyc
+        if totient[m] >= len(d):
+            continue
+        ph = _phi(m)
+        while (qd := _exact_div(d, ph)) is not None:
+            d = qd
+            cyc[m] = cyc.get(m, 0) + 1
+    return cyc if len(d) == 1 else None
+
+
+def _divide_out(num: LaurentPoly, ms: Iterable[int], cyc: dict[int, int]) -> LaurentPoly:
+    """``num`` divided by each Phi_m, m in ``ms``, as often as it divides and
+    ``cyc`` still holds a copy; ``cyc`` loses the copies divided out."""
+    s = num.min_exp()
+    a = _poly_to_dense(num.shift(-s))
+    changed = False
+    for m in ms:
+        ph = _phi(m)
+        while m in cyc and (qa := _exact_div(a, ph)) is not None:
+            a, changed = qa, True
+            cyc[m] -= 1
+            if not cyc[m]:
+                del cyc[m]
+    return _dense_to_poly(a).shift(s) if changed else num
+
+
+def _times_excess(num: LaurentPoly, lcm: Mapping[int, int], cyc: Mapping[int, int]) -> LaurentPoly:
+    """``num`` times the cyclotomic factors by which ``lcm`` exceeds ``cyc``."""
+    excess = {m: e - cyc.get(m, 0) for m, e in lcm.items() if e > cyc.get(m, 0)}
+    return num * _cyc_product(excess) if excess else num
+
+
 # ---------------------------------------------------------------------------
 # Rational functions in u
 # ---------------------------------------------------------------------------
@@ -323,35 +443,60 @@ class RationalFunction:
     polynomial (any overall u-shift and scalar live in the numerator), and the
     shifted-to-polynomial numerator is coprime to the denominator.  Structural
     equality is then mathematical equality.
+
+    Every denominator the series code produces divides a product of
+    ``q^k - 1 = prod_{m | 2k} Phi_m(u)``, so ``den`` is kept as the multiset
+    ``{m: e}`` of its cyclotomic factors as well (empty for a Laurent
+    polynomial).  Sums, products, scalings and Adams substitutions then stay
+    canonical by exact trial division of the numerator by the Phi_m of that
+    multiset alone.  The constructor recognises a cyclotomic denominator;
+    any other one is reduced by the Euclidean gcd over Q, keeps no multiset,
+    and sends every operation that touches it down the same Euclid route.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_cyc")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero():
             raise ExactAlgError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        # Split off u-shifts so both parts have nonzero constant term.
-        nshift = num.min_exp()
+        # Shift the denominator to nonzero constant term and make it monic;
+        # fold the shift and the scalar into the numerator.
         dshift = den.min_exp()
-        n0 = num.shift(-nshift)
-        d0 = den.shift(-dshift)
-        # Reduce by the monic gcd.
-        nd = _poly_to_dense(n0)
-        dd = _poly_to_dense(d0)
+        dd = _poly_to_dense(den.shift(-dshift))
+        lead = dd[-1]
+        dd = [v / lead for v in dd]
+        num = num.scale(1 / lead).shift(-dshift)
+        cyc = {} if num.is_zero() else _cyclotomic_factors(dd)
+        if cyc is not None:
+            self._set(_divide_out(num, list(cyc), cyc) if cyc else num, cyc)
+            return
+        nshift = num.min_exp()
+        nd = _poly_to_dense(num.shift(-nshift))
         g = _dense_gcd(nd, dd)
         if len(g) > 1:
             nd, _ = _dense_divmod(nd, g)
             dd, _ = _dense_divmod(dd, g)
-        # Make the denominator monic; fold the scalar and the shift into num.
-        lead = dd[-1]
-        dd = [v / lead for v in dd]
-        n1 = _dense_to_poly(nd).scale(1 / lead).shift(nshift - dshift)
-        self.num = n1
-        self.den = _dense_to_poly(dd)
+            cyc = _cyclotomic_factors(dd)
+        self._set(_dense_to_poly(nd).shift(nshift), cyc, _dense_to_poly(dd))
+
+    def _set(
+        self, num: LaurentPoly, cyc: dict[int, int] | None, den: LaurentPoly | None = None
+    ) -> None:
+        """Store ``num / den``, already canonical; ``den`` defaults to the
+        product of the multiset ``cyc``."""
+        if num.is_zero():
+            cyc, den = {}, None
+        self.num = num
+        self.den = _cyc_product(cyc) if den is None else den
+        self._cyc = cyc
+
+    @staticmethod
+    def _make(
+        num: LaurentPoly, cyc: dict[int, int] | None, den: LaurentPoly | None = None
+    ) -> RationalFunction:
+        out = RationalFunction.__new__(RationalFunction)
+        out._set(num, cyc, den)
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -394,27 +539,61 @@ class RationalFunction:
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self._cyc, other._cyc
+        if a is None or b is None:
+            return RationalFunction(
+                self.num * other.den + other.num * self.den, self.den * other.den
+            )
+        # Bring both to the lcm (elementwise max).  Phi_m can divide the sum
+        # only where both multiplicities agree: elsewhere the sum is, mod
+        # Phi_m, a numerator coprime to Phi_m times other cyclotomics.
+        lcm = dict(a)
+        for m, e in b.items():
+            if e > lcm.get(m, 0):
+                lcm[m] = e
+        num = _times_excess(self.num, lcm, a) + _times_excess(other.num, lcm, b)
+        common = [m for m, e in a.items() if b.get(m) == e]
+        if common and not num.is_zero():
+            num = _divide_out(num, common, lcm)
+        return RationalFunction._make(num, lcm)
 
     def __neg__(self) -> RationalFunction:
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._make(-self.num, self._cyc, self.den)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b = self._cyc, other._cyc
+        if a is None or b is None:
+            return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RF_ZERO
+        # Each numerator is coprime to its own denominator, so a Phi_m cancels
+        # only against the other operand's numerator.
+        cyc = dict(a)
+        for m, e in b.items():
+            cyc[m] = cyc.get(m, 0) + e
+        na, nb = self.num, other.num
+        ms = [m for m in b if m not in a]
+        if ms:
+            na = _divide_out(na, ms, cyc)
+        ms = [m for m in a if m not in b]
+        if ms:
+            nb = _divide_out(nb, ms, cyc)
+        return RationalFunction._make(na * nb, cyc)
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
         if other.is_zero():
             raise ExactAlgError("division by the zero rational function")
+        if other._cyc is not None and len(other.num._c) == 1:
+            # c u^k / D has the Laurent reciprocal D u^-k / c.
+            ((k, c),) = other.num._c.items()
+            return self * RationalFunction._make(other.den.shift(-k).scale(1 / c), {})
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def scale(self, v: Fraction | int) -> RationalFunction:
-        return RationalFunction(self.num.scale(v), self.den)
+        return RationalFunction._make(self.num.scale(v), self._cyc, self.den)
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
@@ -433,7 +612,27 @@ class RationalFunction:
     def substitute_u_power(self, n: int) -> RationalFunction:
         """Adams substitution ``u -> u^n`` (n nonzero; negative n is the duality
         ``u -> 1/u``)."""
-        return RationalFunction(self.num.substitute_u_power(n), self.den.substitute_u_power(n))
+        num = self.num.substitute_u_power(n)
+        if self._cyc is None:
+            return RationalFunction(num, self.den.substitute_u_power(n))
+        # Phi_m(u^k) = prod Phi_j over j = m g, g | k, gcd(j, k) = g (the
+        # roots of unity w with w^k of order m).  A root of num(u^k) there
+        # would be a root of num at a primitive m-th root, so no Phi_j
+        # cancels.
+        k = abs(n)
+        cyc = {
+            m * g: e
+            for m, e in self._cyc.items()
+            for g in range(1, k + 1)
+            if k % g == 0 and gcd(m * g, k) == g
+        }
+        if n < 0:
+            # Phi_1(1/u) = -u^-1 Phi_1(u) and Phi_m(1/u) = u^-phi(m) Phi_m(u)
+            # for m >= 2: the sign and the shift move into the numerator.
+            num = num.shift(k * self.den.max_exp())
+            if self._cyc.get(1, 0) % 2:
+                num = -num
+        return RationalFunction._make(num, cyc)
 
     def eval_q(self, q0: Fraction | int) -> Fraction:
         q0 = _frac(q0)

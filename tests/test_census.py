@@ -360,9 +360,13 @@ def test_end_system_column_cap(no_chunks):
     assert (ei.value.kind, ei.value.required, ei.value.budget) == (
         "endomorphism system columns", 64, 62
     )
+    # 62 is a fixed limit of rref_mod, not a budget that a flag could raise
+    assert "fixed limit of rref_mod" in str(ei.value)
+    assert "raise the relevant budget" not in str(ei.value)
     with pytest.raises(CapExceeded) as ei:
         endomorphism_algebra(MatrixRep(PT, 2, PT.dim((8,)), {}))
     assert ei.value.kind == "endomorphism system columns"
+    assert "fixed limit of rref_mod" in str(ei.value)
 
 
 def test_cap_exceeded_message_names_numbers():

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, formats, exit codes, error hygiene."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -106,6 +107,26 @@ def test_nakajima_subcommand(jordan_file, capsys):
     assert data["weights"]["2"] == {"3": "1", "4": "1"}
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ("charstack --order 10", "3b841ec4c326816db030615c522b6926ec2a23b4099bcdb3d4546c72add7ca07"),
+        ("hilb3 --order 10", "8d6e48e8b5835ce031c9c22e4bf0eca23be01c21592368ce50f9a8a86ac6b820"),
+        ("series --quiver {jordan} --order 2",
+         "3ea5125bbd7a4248c9a9198f304387b3a670632e3b115a8955fe05dbcb5f0e45"),
+        ("series --quiver {a2} --order 3 --kac-factor q/(q-1)",
+         "5def323b85f68085f4142d827b7abc2338fd57d606c3da5908ffcc1139113836"),
+        ("series --quiver {a2} --order 3 --kac-factor 1/(q-1)",
+         "d6bf5c43ab4d447a74be82ed23c04dce63b27304a1dd30726de282c79eefabab"),
+    ],
+)
+def test_series_output_bytes_pinned(args, digest, jordan_file, a2_file, capsys):
+    # the canonical form of a rational function is unique, so these bytes
+    # are fixed whichever route (trial division or Euclid) canonicalises it
+    assert main(args.format(jordan=jordan_file, a2=a2_file).split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_csv_format(capsys):
     assert main(["hilb3", "--order", "1", "--at-q", "1", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -163,7 +184,10 @@ def test_end_system_too_wide_exits_3_and_writes_nothing(tmp_path, capsys):
     code = main(["census", "--quiver", str(path), "--dim", "8", "--p", "2", "--out", str(out)])
     assert code == 3
     assert not out.exists()
-    assert "endomorphism system columns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "endomorphism system columns" in err
+    assert "fixed limit of rref_mod" in err
+    assert "budget" not in err
 
 
 def test_unknown_subcommand_usage_error(jordan_file):

@@ -1,12 +1,22 @@
 """Exact coefficient arithmetic: Laurent polynomials in the half twist u,
 canonical rational functions, truncated series, plethystic Exp/Log."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverdt import exactalg
+from quiverdt.dtseries import (
+    KacTable,
+    char_stack_series,
+    hilb3_series,
+    kac_from_stack_series,
+    stack_series_from_kac,
+)
 from quiverdt.exactalg import (
     ExactAlgError,
     LaurentPoly,
@@ -19,6 +29,7 @@ from quiverdt.exactalg import (
     pleth_log,
     series_invert,
 )
+from quiverdt.quiver import TRIVIAL_CONSTRAINT, jordan_quiver
 
 Q = LaurentPoly.q_power
 U = LaurentPoly.u_power
@@ -142,6 +153,122 @@ def test_rf_field_laws(a, b):
     assert ra * rb == rb * ra
     if not rb.is_zero():
         assert (ra / rb) * rb == ra
+
+
+# -- cyclotomic denominators against the Euclidean route ---------------------------
+
+def _euclid(num, den):
+    """``num / den`` canonicalised by the Euclidean gcd alone: cyclotomic
+    recognition switched off."""
+    with mock.patch.object(exactalg, "_cyclotomic_factors", lambda d: None):
+        return RationalFunction(num, den)
+
+
+def _phi_oracle(m):
+    """Phi_m(u) = prod_{d | m} (u^d - 1)^mu(m/d), divided out by Euclid."""
+    up, down = ONE, ONE
+    for d in range(1, m + 1):
+        if m % d == 0 and mobius(m // d) == 1:
+            up = up * (U(d) - ONE)
+        elif m % d == 0 and mobius(m // d) == -1:
+            down = down * (U(d) - ONE)
+    return _euclid(up, down).as_laurent()
+
+
+def _cyc_poly(cyc):
+    p = ONE
+    for m, e in cyc.items():
+        p = p * _phi_oracle(m) ** e
+    return p
+
+
+def _cyclotomic(num, cyc):
+    r = RationalFunction(num, _cyc_poly(cyc))
+    assert r._cyc is not None
+    assert r == _euclid(num, _cyc_poly(cyc))
+    return r
+
+
+_multisets = st.dictionaries(st.integers(1, 10), st.integers(1, 2), max_size=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_polys, _polys, _multisets, _multisets, _multisets)
+def test_cyclotomic_ops_match_euclid(na, nb, ca, cb, shared):
+    # shared factors in a's numerator and b's denominator force cancellation
+    a = _cyclotomic(na * _cyc_poly(shared), ca)
+    b = _cyclotomic(nb, {m: cb.get(m, 0) + shared.get(m, 0) for m in {**cb, **shared}})
+    # same multiset as a, numerator chosen so that a + c cancels a factor
+    c = _cyclotomic(nb * _cyc_poly(dict(list(ca.items())[:1])) - a.num, ca)
+    monomial = _cyclotomic(U(3).scale(-2), cb)
+    for x, y in ((a, b), (a, c), (b, c), (c, monomial)):
+        s, p, d = x + y, x * y, x / y if not y.is_zero() else None
+        assert s == _euclid(x.num * y.den + y.num * x.den, x.den * y.den)
+        assert p == _euclid(x.num * y.num, x.den * y.den)
+        assert s._cyc is not None and p._cyc is not None
+        if d is not None:
+            assert d == _euclid(x.num * y.den, x.den * y.num)
+    for v in (Fraction(-3, 2), 0):
+        assert a.scale(v) == _euclid(a.num.scale(v), a.den)
+    for n in (-2, -1, 2, 3):
+        r = a.substitute_u_power(n)
+        assert r._cyc is not None
+        assert r == _euclid(a.num.substitute_u_power(n), a.den.substitute_u_power(n))
+
+
+def test_non_cyclotomic_denominator_falls_back_to_euclid():
+    h = Q(2) + Q(1) + ONE.scale(3)  # q^2 + q + 3
+    pal = U(40) + U(20).scale(3) + ONE  # palindromic, integer, roots off the unit circle
+    s = RationalFunction(ONE, Q(1) - ONE)
+    for den in (h, pal, h * (Q(1) - ONE)):
+        r = RationalFunction(Q(1) + ONE, den)
+        assert r._cyc is None
+        for u0 in (Fraction(2), Fraction(3, 2)):
+            assert (r + s).eval_u(u0) == r.eval_u(u0) + s.eval_u(u0)
+            assert (r * s).eval_u(u0) == r.eval_u(u0) * s.eval_u(u0)
+            assert (s / r).eval_u(u0) == s.eval_u(u0) / r.eval_u(u0)
+            assert r.substitute_u_power(-1).eval_u(u0) == r.eval_u(1 / u0)
+            assert r.scale(3).eval_u(u0) == 3 * r.eval_u(u0)
+        back = r * RationalFunction.from_laurent(den)
+        assert back == RationalFunction.from_laurent(Q(1) + ONE)
+        assert back._cyc == {}  # recognised again once the factor cancels
+
+
+def test_recognition_tries_few_candidates(monkeypatch):
+    pal = U(40) + U(20).scale(3) + ONE
+    RationalFunction(ONE, pal)  # fills the Phi_m table
+    calls = []
+    div = exactalg._exact_div
+    monkeypatch.setattr(exactalg, "_exact_div", lambda a, b: calls.append(1) or div(a, b))
+    assert RationalFunction(ONE, pal)._cyc is None
+    # one trial division per m with phi(m) <= 40 (there are 81), none beyond
+    assert len(calls) < 100
+
+
+def test_series_hot_path_runs_no_euclid(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("Euclidean gcd on the series hot path")
+
+    monkeypatch.setattr(exactalg, "_dense_gcd", no_gcd)
+    jq = jordan_quiver()
+    keys = [(d,) for d in range(1, 7)]
+    table = KacTable(jq, TRIVIAL_CONSTRAINT, {k: Q(1) for k in keys}, {k: "oracle" for k in keys})
+    assert kac_from_stack_series(stack_series_from_kac(table, 6), jq).entries == table.entries
+    assert char_stack_series(8, "exp") == char_stack_series(8, "product")
+    g = hilb3_series(8)
+    assert [g.coeff((n,)).as_laurent().eval_q(1) for n in range(9)] == [
+        1, 1, 3, 6, 13, 24, 48, 86, 160
+    ]
+    # criterion 7: Laurent-only coefficients
+    rng = random.Random(7)
+    palette = [RationalFunction.from_int(v) for v in (0, 1, -1)] + [
+        RationalFunction.from_laurent(Q(e).scale(s)) for e in (1, 2) for s in (1, -1)
+    ]
+    keys = [(i, j) for i in range(6) for j in range(6) if 0 < i + j <= 5]
+    f = TruncSeries(("t_1", "t_2"), 5, {k: rng.choice(palette) for k in keys})
+    assert pleth_log(pleth_exp(f)) == f
+    g = TruncSeries.one(f.variables, f.order) + f
+    assert pleth_exp(pleth_log(g)) == g
 
 
 def test_eval_at_q_guardrails():
