@@ -184,7 +184,7 @@ def _oracle_table(quiver_name: str, flavor: str, workers: int):
     else:
         raise ValueError(flavor)
     dims = [k for k in product(range(4), repeat=len(q.vertices)) if 0 < sum(k) <= 3]
-    return build_kac_table(q, dims, s, workers=workers, on_cap="skip"), len(dims)
+    return build_kac_table(q, dims, s, workers=workers, on_cap="skip")
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +192,9 @@ def _oracle_table(quiver_name: str, flavor: str, workers: int):
 # ---------------------------------------------------------------------------
 
 def _criterion_kac_values(workers: int) -> tuple[bool, str]:
-    jt, _ = _oracle_table("jordan", "plain", workers)
-    lt, _ = _oracle_table("2loop", "plain", workers)
-    at, _ = _oracle_table("a2", "plain", workers)
+    jt = _oracle_table("jordan", "plain", workers)
+    lt = _oracle_table("2loop", "plain", workers)
+    at = _oracle_table("a2", "plain", workers)
     qpoly = LaurentPoly.q_power(1)
     checks = [
         ("jordan d=1", jt.entry((1,)), qpoly),
@@ -209,7 +209,7 @@ def _criterion_kac_values(workers: int) -> tuple[bool, str]:
 
 
 def _criterion_census_identity(workers: int) -> tuple[bool, str]:
-    jt, _ = _oracle_table("jordan", "plain", workers)
+    jt = _oracle_table("jordan", "plain", workers)
     g = stack_series_from_kac(jt, 2)
     c2 = g.coeff((2,))
     jq = jordan_quiver()
@@ -229,10 +229,10 @@ def _criterion_positivity(workers: int) -> tuple[bool, str]:
     skipped = 0
     for qn in ("jordan", "a2", "2loop"):
         for flavor in ("plain", "sn", "ssn"):
-            t, requested = _oracle_table(qn, flavor, workers)
+            t = _oracle_table(qn, flavor, workers)
             tables[f"{qn}/{flavor}"] = t
             checked += len(t.entries)
-            skipped += requested - len(t.entries)
+            skipped += len(t.skipped)
     rep = positivity_report(tables)
     if not rep.passed:
         f = rep.failures()[0]

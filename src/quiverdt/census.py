@@ -3,13 +3,23 @@
 One enumeration engine, ``_scan``, walks the full representation space
 lexicographically (every matrix entry is a base-p digit of the point index),
 in chunks spread over worker threads, with all per-point work vectorized
-through :mod:`quiverdt.modp`.  Each chunk passes through up to three stages:
+through :mod:`quiverdt.modp`.  Each chunk passes through up to four stages:
 
 * the filter: relations and Serre constraints keep a subset of the points;
 * semistability, for a given stability condition: the kept points that
   have no arrow-invariant graded subspace of a destabilising dimension
   vector (a GL-invariant mask, so counting it is counting semistable points);
-* classification, through the endomorphism algebra of every kept point.
+* orbit slicing, for classified censuses: of the kept points, only those
+  whose matrix on the first arrow with cells is the canonical
+  representative c_C of its GL-orbit C (a rational canonical form for a
+  loop, a rank normal form otherwise) go on, weighted by |C|.  Every
+  quantity classification sums is GL_d-invariant, and so is the filter, so
+  sum_x f(x) = sum_C |C| sum_rest f(c_C, rest).  Two guards raise
+  :class:`CensusError`: the orbit sizes must sum to p^(cells of the arrow),
+  and the orbit-weighted count of the kept representatives must equal the
+  number of kept points.  The filter still sees every point, so the point
+  budget counts raw points;
+* classification, through the endomorphism algebra of each representative.
 
 Every public count is a view of the totals of one scan:
 
@@ -81,6 +91,7 @@ from .quiver import (
     StabilityCondition,
     double,
     euler_form,
+    jordan_quiver,
     slope,
     TRIVIAL_CONSTRAINT,
 )
@@ -501,6 +512,127 @@ def _end_counts(
 
 
 # ---------------------------------------------------------------------------
+# Orbit slicing
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OrbitTable:
+    """The orbits of GL_d on the matrix of one arrow (the first work arrow
+    with cells), one canonical representative each.
+
+    The arrows before it have no cells, so its cells are the lowest
+    ``cells`` base-p digits of a point index (least significant first) and
+    its matrix has the arrow index ``idx % p**cells``.  ``reps`` holds the
+    sorted arrow indices of the representatives and ``sizes`` their orbit
+    sizes; both arrays are read-only.  With no arrow cells the table is one
+    point of weight 1."""
+
+    cells: int
+    reps: np.ndarray
+    sizes: np.ndarray
+
+    def locate(self, idx: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """For point indices: the mask of those whose arrow matrix is a
+        representative, and the orbit sizes of the masked points."""
+        key = idx % p ** self.cells
+        slot = np.minimum(np.searchsorted(self.reps, key), self.reps.size - 1)
+        hit = self.reps[slot] == key
+        return hit, self.sizes[slot[hit]]
+
+
+def _divides(f: tuple[int, ...], g: tuple[int, ...], p: int) -> bool:
+    """Whether the monic polynomial f divides g over F_p (coefficients low
+    to high)."""
+    r = list(g)
+    k = len(f) - 1
+    for top in range(len(r) - 1, k - 1, -1):
+        c = r[top]
+        if c:
+            for j in range(k + 1):
+                r[top - k + j] = (r[top - k + j] - c * f[j]) % p
+    return not any(r[:k])
+
+
+def _similarity_orbits(n: int, p: int, end_budget: int) -> tuple[np.ndarray, list[int]]:
+    """The similarity classes of n x n matrices over F_p: one rational
+    canonical form (block-diagonal companion matrices of monic invariant
+    factors f_1 | f_2 | ...) per class, and the class size |GL_n| / |C(x)|,
+    the centraliser order being the unit count of the one-loop
+    representation x from :func:`_end_counts` (charged to ``end_budget``)."""
+    monic = {k: [c + (1,) for c in product(range(p), repeat=k)] for k in range(1, n + 1)}
+
+    def chains(prev: tuple[int, ...] | None, left: int):
+        if left == 0:
+            yield ()
+            return
+        for k in range(len(prev) - 1 if prev else 1, left + 1):
+            for f in monic[k]:
+                if prev is None or _divides(prev, f, p):
+                    for rest in chains(f, left - k):
+                        yield (f,) + rest
+
+    forms = []
+    for chain in chains(None, n):
+        x = np.zeros((n, n), dtype=np.int64)
+        at = 0
+        for f in chain:
+            k = len(f) - 1
+            x[at + 1 : at + k, at : at + k - 1] = np.eye(k - 1, dtype=np.int64)
+            x[at : at + k, at + k - 1] = [-c % p for c in f[:k]]
+            at += k
+        forms.append(x)
+    mats = np.array(forms)
+    loop = jordan_quiver()
+    dim = loop.dim((n,))
+    one_loop = _Workspace(loop, dim, "none", None)
+    _e, units, _n = _end_counts(
+        one_loop, {"x": mats.astype(field_dtype(p))}, p, end_budget, len(forms)
+    )
+    gl = gl_order(dim, p)
+    sizes = [gl // u for u in units.tolist()]
+    if any(gl % u for u in units.tolist()):
+        raise CensusError(f"a centraliser order does not divide |GL_{n}(F_{p})| = {gl}")
+    return mats, sizes
+
+
+def _rank_orbits(m: int, n: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """The rank normal forms [I_r 0; 0 0] of m x n matrices over F_p and the
+    number of matrices of each rank r,
+    prod_{i<r} (p^m - p^i)(p^n - p^i) / (p^r - p^i)."""
+    forms, sizes = [], []
+    for r in range(min(m, n) + 1):
+        x = np.zeros((m, n), dtype=np.int64)
+        x[range(r), range(r)] = 1
+        forms.append(x)
+        num = math.prod((p ** m - p ** i) * (p ** n - p ** i) for i in range(r))
+        sizes.append(num // math.prod(p ** r - p ** i for i in range(r)))
+    return np.array(forms), sizes
+
+
+def _orbit_table(ws: _Workspace, p: int, end_budget: int) -> _OrbitTable:
+    """The orbit table of the first work arrow with cells: similarity
+    classes for a loop, rank normal forms between two vertices, the single
+    empty matrix when no arrow has cells.  The orbit sizes must sum to
+    p^cells, or :class:`CensusError` is raised."""
+    first = next((a for a in ws.work.arrows if ws.vdims[a.src] * ws.vdims[a.tgt]), None)
+    if first is None:
+        mats, sizes = _rank_orbits(0, 0, p)
+    elif first.src == first.tgt:
+        mats, sizes = _similarity_orbits(ws.vdims[first.src], p, end_budget)
+    else:
+        mats, sizes = _rank_orbits(ws.vdims[first.tgt], ws.vdims[first.src], p)
+    cells = mats.shape[1] * mats.shape[2]
+    if sum(sizes) != p ** cells:
+        raise CensusError(f"orbit sizes sum to {sum(sizes)}, not to p^{cells} = {p ** cells}")
+    keys = mats.reshape(len(sizes), cells) @ (np.int64(p) ** np.arange(cells, dtype=np.int64))
+    order = np.argsort(keys)
+    reps, weights = keys[order], np.array(sizes, dtype=np.int64)[order]
+    reps.setflags(write=False)
+    weights.setflags(write=False)
+    return _OrbitTable(cells, reps, weights)
+
+
+# ---------------------------------------------------------------------------
 # Semistability stage
 # ---------------------------------------------------------------------------
 
@@ -585,6 +717,7 @@ def _semistable_mask(
 class _Totals:
     points: int = 0
     semistable: int = 0
+    represented: int = 0  # orbit-weighted count of the classified representatives
     units: int = 0
     units_indec: int = 0
     units_absindec: int = 0
@@ -609,7 +742,8 @@ def _scan(
 ) -> _Totals:
     """Totals over every point of the workspace: the filter-kept points, of
     them the semistable ones (when ``stability`` is given), and the
-    Burnside unit sums (when ``need_classes``)."""
+    Burnside unit sums (when ``need_classes``), taken over the kept orbit
+    representatives of :func:`_orbit_table` weighted by orbit size."""
     if not is_prime(p):
         raise CensusError(f"modulus {p} is not prime")
     raw = p ** ws.total_cells
@@ -622,6 +756,7 @@ def _scan(
     destabilisers = [] if stability is None else _destabilisers(ws, stability, p, subspace_budget)
     if need_classes and ws.end_cols > RREF_MAX_COLS:
         raise CapExceeded(_END_COLUMNS, ws.end_cols, RREF_MAX_COLS)
+    orbits = _orbit_table(ws, p, end_budget) if need_classes else None
     workers = max(1, int(workers))
     chunk = min(_MAX_CHUNK, max(1, -(-raw // (4 * workers)) if workers > 1 else raw))
     spans = [(lo, min(lo + chunk, raw)) for lo in range(0, raw, chunk)]
@@ -631,17 +766,27 @@ def _scan(
         mats = ws.matrices_for_range(lo, hi, p)
         mask = _filter_mask(ws, mats, p, hi - lo)
         t = _Totals(points=int(mask.sum()))
-        if t.points == 0 or (stability is None and not need_classes):
+        if t.points == 0:
             return t
-        kept = {k: v[mask] for k, v in mats.items()}
         if stability is not None:
+            kept = {k: v[mask] for k, v in mats.items()}
             t.semistable = int(_semistable_mask(ws, kept, p, destabilisers, t.points).sum())
         if need_classes:
-            e_arr, units, nilps = _end_counts(ws, kept, p, end_budget, t.points)
-            pe = np.power(np.int64(p), e_arr)
-            t.units = int(units.sum())
-            t.units_indec = int(units[units + nilps == pe].sum())
-            t.units_absindec = int(units[nilps * p == pe].sum())
+            sel = np.flatnonzero(mask)
+            hit, w = orbits.locate(sel + lo, p)
+            t.represented = sum(w.tolist())
+            if w.size:
+                reps = {k: v[sel[hit]] for k, v in mats.items()}
+                e_arr, units, nilps = _end_counts(ws, reps, p, end_budget, w.size)
+                pe = np.power(np.int64(p), e_arr)
+
+                def weighted(keep) -> int:
+                    # exact: Python ints, orbit size times |Aut|
+                    return sum(a * b for a, b in zip(w[keep].tolist(), units[keep].tolist()))
+
+                t.units = weighted(slice(None))
+                t.units_indec = weighted(units + nilps == pe)
+                t.units_absindec = weighted(nilps * p == pe)
         return t
 
     total = _Totals()
@@ -652,6 +797,11 @@ def _scan(
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for part in ex.map(run, spans):
                 total += part
+    if need_classes and total.represented != total.points:
+        raise CensusError(
+            f"the classified orbit representatives weigh {total.represented} points, but the "
+            f"filter kept {total.points}: the filter is not GL-invariant"
+        )
     return total
 
 

@@ -113,7 +113,9 @@ class KacTable:
     (read off a stack series), or "user-supplied".  ``laurent`` marks tables
     whose entries are Laurent polynomials (negative q powers allowed), as
     produced by :func:`duality_transform`; plain tables insist on ordinary
-    polynomials with integer coefficients.
+    polynomials with integer coefficients.  ``skipped`` maps each dimension
+    vector that :func:`build_kac_table` left out under ``on_cap="skip"`` to
+    the text of its :class:`CapExceeded`; it is not part of any report.
     """
 
     quiver: Quiver
@@ -121,6 +123,7 @@ class KacTable:
     entries: dict[tuple[int, ...], LaurentPoly]
     provenance: dict[tuple[int, ...], str]
     laurent: bool = False
+    skipped: dict[tuple[int, ...], str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.quiver.vertices)
@@ -219,12 +222,14 @@ def build_kac_table(
     on_cap: str = "raise",
 ) -> KacTable:
     """Compute Kac polynomials for the given dimension vectors via the census
-    oracle.  ``on_cap="skip"`` silently omits entries whose interpolation
-    would exceed a budget; the default propagates :class:`CapExceeded`."""
+    oracle.  ``on_cap="skip"`` omits entries whose interpolation would exceed
+    a budget and records each on ``KacTable.skipped`` with the text of its
+    :class:`CapExceeded`; the default propagates the :class:`CapExceeded`."""
     if on_cap not in ("raise", "skip"):
         raise DTSeriesError(f"unknown on_cap mode {on_cap!r}")
     entries = {}
     prov = {}
+    skipped = {}
     for d in dims:
         dv = d if isinstance(d, DimVector) else q.dim(d)
         try:
@@ -237,9 +242,10 @@ def build_kac_table(
                 end_budget=end_budget,
                 workers=workers,
             )
-        except CapExceeded:
+        except CapExceeded as exc:
             if on_cap == "raise":
                 raise
+            skipped[dv.values] = str(exc)
             continue
         entries[dv.values] = poly
         prov[dv.values] = "oracle"
@@ -248,6 +254,7 @@ def build_kac_table(
         constraint=s if s is not None else TRIVIAL_CONSTRAINT,
         entries=entries,
         provenance=prov,
+        skipped=skipped,
     )
 
 

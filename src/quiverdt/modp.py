@@ -311,9 +311,14 @@ def nullspace_by_pattern(
     return out
 
 
+@lru_cache(maxsize=None)
 def combos_with_leading_one(p: int, e: int) -> np.ndarray:
     """All vectors in F_p^e whose first nonzero coordinate is 1: one
-    representative per line through the origin, (p^e - 1)/(p - 1) rows."""
+    representative per line through the origin, (p^e - 1)/(p - 1) rows.
+
+    Memoised per (p, e) and read-only.  The census asks for it only after
+    checking (p^e - 1)/(p - 1) against its End budget, so at the default
+    budget no entry has more than 2^20 rows."""
     blocks = []
     dtype = field_dtype(p)
     for lead in range(e):
@@ -324,6 +329,6 @@ def combos_with_leading_one(p: int, e: int) -> np.ndarray:
         if tail:
             block[:, lead + 1 :] = index_to_digits(np.arange(n, dtype=np.int64), tail, p)
         blocks.append(block)
-    if not blocks:
-        return np.zeros((0, 0), dtype=dtype)
-    return np.concatenate(blocks, axis=0)
+    out = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, 0), dtype=dtype)
+    out.setflags(write=False)
+    return out

@@ -25,6 +25,8 @@ from quiverdt.census import (
 )
 from quiverdt.exactalg import LaurentPoly
 from quiverdt.quiver import (
+    Arrow,
+    Quiver,
     QuiverError,
     SerreConstraint,
     StabilityCondition,
@@ -214,16 +216,22 @@ def test_classification_invariant_under_conjugation():
         assert a == b
 
 
-def test_burnside_dual_route_jordan_d2_p2():
-    # classify every single 2x2 matrix over F_2 individually and reproduce the
-    # batched census class counts via Burnside sums |Aut|/|GL| (= 1/orbit size)
-    gl = gl_order(JQ.dim((2,)), 2)
+def _burnside_dual_route(q, dims, p):
+    # classify every single point individually and reproduce the batched
+    # census class counts via Burnside sums |Aut|/|GL| (= 1/orbit size)
+    d = q.dim(dims)
+    gl = gl_order(d, p)
+    shapes = [(a.label, (d[a.tgt], d[a.src])) for a in q.arrows]
+    cells = sum(m * n for _, (m, n) in shapes)
     iso = Fraction(0)
     indec = Fraction(0)
     absind = Fraction(0)
-    for flat in itertools.product(range(2), repeat=4):
-        m = np.array(flat).reshape(2, 2)
-        rho = MatrixRep(JQ, 2, JQ.dim((2,)), {"x": m})
+    for flat in itertools.product(range(p), repeat=cells):
+        mats, at = {}, 0
+        for label, (m, n) in shapes:
+            mats[label] = np.array(flat[at : at + m * n]).reshape(m, n)
+            at += m * n
+        rho = MatrixRep(q, p, d, mats)
         aut = endomorphism_algebra(rho).unit_count
         c = classify(rho)
         iso += Fraction(aut, gl)
@@ -231,10 +239,19 @@ def test_burnside_dual_route_jordan_d2_p2():
             indec += Fraction(aut, gl)
         if c.is_absolutely_indecomposable():
             absind += Fraction(aut, gl)
-    rep = census_report(JQ, JQ.dim((2,)), 2)
+    rep = census_report(q, d, p)
     assert iso == rep.iso_classes
     assert indec == rep.indecomposable_classes
     assert absind == rep.abs_indecomposable_classes
+
+
+def test_burnside_dual_route_jordan_d2_p2():
+    _burnside_dual_route(JQ, (2,), 2)
+
+
+@pytest.mark.parametrize("q, dims, p", [(JQ, (2,), 3), (A2, (2, 1), 3)], ids=["jordan-d2-p3", "a2-d21-p3"])
+def test_burnside_dual_route_sliced(q, dims, p):
+    _burnside_dual_route(q, dims, p)
 
 
 # -- absolutely indecomposable counts and Kac polynomials ----------------------------------
@@ -395,3 +412,131 @@ def test_semistable_count_deterministic_across_workers_and_chunks(monkeypatch):
     monkeypatch.setattr(census, "_MAX_CHUNK", 7)  # chunk boundaries inside the 3^8 points
     vals += [semistable_point_count(A2, d, 3, z, "preprojective", workers=w) for w in (1, 2, 8)]
     assert vals == [48] * 6
+
+
+# -- orbit-sliced classification -----------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_classes_are_similarity_classes(p):
+    # similarity classes of M_n(F_p): p^2 + p for n = 2 and p^3 + p^2 + p
+    # for n = 3; the indecomposable ones are the companion matrices of f^k
+    # with f irreducible, deg(f) k = n, and the absolutely indecomposable
+    # ones those with f linear (p of them)
+    two = census_report(JQ, JQ.dim((2,)), p)
+    assert (two.iso_classes, two.indecomposable_classes, two.abs_indecomposable_classes) == (
+        p ** 2 + p, p + (p ** 2 - p) // 2, p
+    )
+    three = census_report(JQ, JQ.dim((3,)), p, workers=2)
+    assert (three.iso_classes, three.indecomposable_classes, three.abs_indecomposable_classes) == (
+        p ** 3 + p ** 2 + p, p + (p ** 3 - p) // 3, p
+    )
+
+
+def _every_point_table(ws, p, end_budget):
+    """The orbit table with every point its own representative, of weight 1."""
+    n = p ** ws.total_cells
+    return census._OrbitTable(ws.total_cells, np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+
+
+# an arrow into a vertex carrying a loop: with d=(0, 2) the first arrow has
+# no cells and the loop is sliced instead
+A2_LOOP = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("x", "2", "2")))
+
+SLICED_CASES = [
+    (JQ, (2,), 3, "preprojective", None),
+    (A2_LOOP, (0, 2), 3, "none", None),
+    (A2_LOOP, (1, 2), 2, "none", None),
+    (A2, (2, 2), 3, "none", None),
+    (multi_loop_quiver(2), (2,), 2, "none", None),
+    (multi_loop_quiver(2), (2,), 3, "none", None),
+    (JQ, (3,), 2, "none", loops_nilpotent_constraint(JQ)),
+]
+
+
+@pytest.mark.parametrize(
+    "q, dims, p, relations, s",
+    SLICED_CASES,
+    ids=["jordan-pp-d2-p3", "a2loop-d02-p3", "a2loop-d12-p2", "a2-d22-p3", "2loop-d2-p2", "2loop-d2-p3", "jordan-sn-d3-p2"],
+)
+def test_sliced_census_equals_unsliced(monkeypatch, q, dims, p, relations, s):
+    sliced = census_report(q, q.dim(dims), p, relations, s)
+    monkeypatch.setattr(census, "_orbit_table", _every_point_table)
+    assert census_report(q, q.dim(dims), p, relations, s) == sliced
+
+
+def test_orbit_table_sizes_sum_to_arrow_space():
+    for q, dims, p, relations, _s in SLICED_CASES + [(PT, (2,), 3, "none", None)]:
+        ws = census._Workspace(q, q.dim(dims), relations, None)
+        table = census._orbit_table(ws, p, census.DEFAULT_END_BUDGET)
+        assert sum(table.sizes.tolist()) == p ** table.cells
+        assert not table.reps.flags.writeable and not table.sizes.flags.writeable
+    # the point quiver has no arrow cells: one point of weight 1
+    assert table.cells == 0 and table.reps.tolist() == [0] and table.sizes.tolist() == [1]
+    # the loop, not the cell-less first arrow, is sliced: 3^2 + 3 similarity classes
+    table = census._orbit_table(
+        census._Workspace(A2_LOOP, A2_LOOP.dim((0, 2)), "none", None), 3, census.DEFAULT_END_BUDGET
+    )
+    assert table.cells == 4 and len(table.reps) == 12
+
+
+def test_sliced_census_deterministic_across_workers_and_chunks(monkeypatch):
+    L2 = multi_loop_quiver(2)
+    reports = [census_report(L2, L2.dim((2,)), 3, workers=w) for w in (1, 2, 8)]
+    monkeypatch.setattr(census, "_MAX_CHUNK", 7)  # representatives split across chunks
+    reports += [census_report(L2, L2.dim((2,)), 3, workers=w) for w in (1, 2, 8)]
+    assert all(r == reports[0] for r in reports)
+
+
+@pytest.mark.parametrize("orbits", ["_similarity_orbits", "_rank_orbits"])
+def test_corrupted_orbit_size_raises(monkeypatch, orbits):
+    real = getattr(census, orbits)
+
+    def corrupted(*args):
+        mats, sizes = real(*args)
+        return mats, [sizes[0] + 1] + sizes[1:]
+
+    monkeypatch.setattr(census, orbits, corrupted)
+    q, d = (JQ, (2,)) if orbits == "_similarity_orbits" else (A2, (2, 1))
+    with pytest.raises(CensusError, match="orbit sizes"):
+        census_report(q, q.dim(d), 2)
+
+
+def test_filter_that_is_not_gl_invariant_raises(monkeypatch):
+    real = census._filter_mask
+
+    def drop_one(ws, mats, p, B):
+        # [[0, 1], [0, 0]] is nilpotent but not a rational canonical form
+        # (that is [[0, 0], [1, 0]]), so the classified points do not change
+        mask = real(ws, mats, p, B)
+        hit = np.flatnonzero((mats["x"].reshape(B, 4) == [0, 1, 0, 0]).all(axis=1))
+        mask[hit[:1]] = False
+        return mask
+
+    monkeypatch.setattr(census, "_filter_mask", drop_one)
+    assert point_count(JQ, JQ.dim((2,)), 2) == 15
+    with pytest.raises(CensusError, match="not GL-invariant"):
+        census_report(JQ, JQ.dim((2,)), 2)
+
+
+def _feit_fine_commuting_pairs(q, top):
+    """|C_n(F_q)|, the number of commuting pairs of n x n matrices, for
+    n <= top, from the Feit-Fine product
+    sum_n |C_n|/|GL_n| t^n = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) t^i)^(-1),
+    each j-product summed exactly by the q-binomial series
+    prod_{j>=0} (1 - q q^(-j) x)^(-1) = sum_k q^k x^k / prod_{i=1..k} (1 - q^(-i))."""
+    series = [Fraction(1)] + [Fraction(0)] * top
+    for i in range(1, top + 1):
+        factor = [Fraction(0)] * (top + 1)
+        term = Fraction(1)
+        for k in range(top // i + 1):
+            if k:
+                term *= Fraction(q) / (1 - Fraction(1, q ** k))
+            factor[i * k] = term
+        series = [sum(series[a] * factor[n - a] for a in range(n + 1)) for n in range(top + 1)]
+    return [c * gl_order(JQ.dim((n,)), q) for n, c in enumerate(series)]
+
+
+@pytest.mark.parametrize("d, p, expected", [(2, 2, 88), (2, 3, 945), (2, 5, 18625), (2, 7, 134113), (3, 2, 7456)])
+def test_feit_fine_commuting_pairs(d, p, expected):
+    assert _feit_fine_commuting_pairs(p, d)[d] == expected
+    assert point_count(JQ, JQ.dim((d,)), p, "preprojective") == expected

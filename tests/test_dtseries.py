@@ -110,6 +110,17 @@ def test_build_kac_table_on_cap(jordan_table):
         build_kac_table(JQ, [(1,)], on_cap="maybe")
 
 
+def test_build_kac_table_records_skipped_keys():
+    table = build_kac_table(JQ, [(1,), (2,)], point_budget=30, on_cap="skip")
+    # d=2 needs 2^4 = 16 points at p=2, then 3^4 = 81 at p=3
+    assert list(table.skipped) == [(2,)]
+    assert table.skipped[(2,)].startswith("point enumeration needs 81 evaluations")
+    # the record stays out of the report and out of table equality
+    assert "skipped" not in table.to_json_dict()
+    assert table == build_kac_table(JQ, [(1,)])
+    assert build_kac_table(JQ, [(1,)], on_cap="skip").skipped == {}
+
+
 # -- stack series and extraction --------------------------------------------------
 
 def test_series_variables_order():

@@ -184,3 +184,5 @@ def test_combos_with_leading_one():
     assert c.shape == (4, 2)
     lead = [row[np.flatnonzero(row)[0]] for row in c]
     assert all(x == 1 for x in lead)
+    # memoised and shared, so read-only
+    assert combos_with_leading_one(3, 2) is c and not c.flags.writeable
