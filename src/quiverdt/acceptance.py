@@ -22,7 +22,6 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .census import (
     CapExceeded,
@@ -46,6 +45,7 @@ from .exactalg import (
     LaurentPoly,
     RationalFunction,
     TruncSeries,
+    degree_box,
     pleth_exp,
     pleth_log,
 )
@@ -183,7 +183,7 @@ def _oracle_table(quiver_name: str, flavor: str, workers: int):
         s = nilpotent_module_constraint()
     else:
         raise ValueError(flavor)
-    dims = [k for k in product(range(4), repeat=len(q.vertices)) if 0 < sum(k) <= 3]
+    dims = [k for k in degree_box(len(q.vertices), 3) if any(k)]
     return build_kac_table(q, dims, s, workers=workers, on_cap="skip")
 
 
@@ -312,9 +312,7 @@ def _criterion_pleth_roundtrip(workers: int) -> tuple[bool, str]:
     ]
     variables = ("t_1", "t_2")
     order = 5
-    keys = [
-        (i, j) for i in range(order + 1) for j in range(order + 1) if 0 < i + j <= order
-    ]
+    keys = [k for k in degree_box(len(variables), order) if any(k)]
     for trial in range(100):
         terms = {k: rng.choice(palette) for k in keys}
         f = TruncSeries(variables, order, terms)

@@ -297,10 +297,8 @@ class _Workspace:
         self.vdims = {v: d[v] for v in self.work.vertices}
         self.cells: list[tuple[str, int, int]] = []
         off = 0
-        self.cell_offsets: dict[str, int] = {}
         for a in self.work.arrows:
             nt, ns = d[a.tgt], d[a.src]
-            self.cell_offsets[a.label] = off
             self.cells.append((a.label, nt, ns))
             off += nt * ns
         self.total_cells = off

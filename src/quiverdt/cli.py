@@ -49,7 +49,7 @@ from .dtseries import (
     stack_series_from_kac,
     wallcross_check,
 )
-from .exactalg import ExactAlgError
+from .exactalg import ExactAlgError, degree_box
 from .quiver import (
     QuiverError,
     load_constraint,
@@ -60,6 +60,8 @@ from .quiver import (
 __all__ = ["main", "dispatch"]
 
 _RELATIONS = ("none", "preprojective")
+# The flags of a subcommand whose handler runs the full census.
+_CENSUS = ("point_budget", "end_budget", "workers")
 
 
 def _workers_default() -> int:
@@ -104,9 +106,12 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             default="none",
             help="path-algebra relations imposed on the census",
         )
-    p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
-    p.add_argument("--end-budget", type=int, default=DEFAULT_END_BUDGET)
-    p.add_argument("--workers", type=int, default=_workers_default())
+    if "point_budget" in names:
+        p.add_argument("--point-budget", type=int, default=DEFAULT_POINT_BUDGET)
+    if "end_budget" in names:
+        p.add_argument("--end-budget", type=int, default=DEFAULT_END_BUDGET)
+    if "workers" in names:
+        p.add_argument("--workers", type=int, default=_workers_default())
     p.add_argument("--out", help="write the report here (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -119,13 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("kac", help="Kac polynomial of one dimension vector")
-    _add_common(p, "quiver", "constraint", "dim", "primes")
+    _add_common(p, "quiver", "constraint", "dim", "primes", *_CENSUS)
 
     p = sub.add_parser("census", help="finite-field census report")
-    _add_common(p, "quiver", "constraint", "dim", "p", "relations")
+    _add_common(p, "quiver", "constraint", "dim", "p", "relations", *_CENSUS)
 
     p = sub.add_parser("series", help="normalized stack series")
-    _add_common(p, "quiver", "constraint", "order", "primes")
+    _add_common(p, "quiver", "constraint", "order", "primes", *_CENSUS)
     p.add_argument(
         "--kac-factor",
         choices=("q/(q-1)", "1/(q-1)"),
@@ -134,14 +139,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("hn", help="semistable stack count via HN recursion")
-    _add_common(p, "quiver", "stability", "constraint", "dim", "p", "relations")
+    _add_common(
+        p, "quiver", "stability", "constraint", "dim", "p", "relations", "point_budget", "workers"
+    )
 
     p = sub.add_parser("wallcross", help="wall-crossing factorization check")
-    _add_common(p, "quiver", "stability", "constraint", "p", "order")
+    _add_common(
+        p, "quiver", "stability", "constraint", "p", "order", "point_budget", "workers"
+    )
     p.add_argument("--relations", choices=_RELATIONS, default="preprojective")
 
     p = sub.add_parser("nakajima", help="quiver-variety weight polynomials")
-    _add_common(p, "quiver", "order")
+    _add_common(p, "quiver", "order", *_CENSUS)
     p.add_argument(
         "--dim",
         required=True,
@@ -156,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, "order")
 
     p = sub.add_parser("check", help="run the acceptance suite")
-    _add_common(p)
+    _add_common(p, "workers")
     return ap
 
 
@@ -283,8 +292,7 @@ def _run_census(args):
 
 def _run_series(args):
     q, _, s = _load_inputs(args)
-    box = product(range(args.order + 1), repeat=len(q.vertices))
-    dims = [k for k in box if 0 < sum(k) <= args.order]
+    dims = [k for k in degree_box(len(q.vertices), args.order) if any(k)]
     table = build_kac_table(
         q,
         dims,

@@ -21,10 +21,9 @@ series for the Hilbert scheme of points in 3-space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .census import (
     CapExceeded,
@@ -40,6 +39,7 @@ from .exactalg import (
     LaurentPoly,
     RationalFunction,
     TruncSeries,
+    degree_box,
     pleth_exp,
     pleth_log,
 )
@@ -92,12 +92,6 @@ PROVENANCE_KINDS = ("oracle", "series-extracted", "user-supplied")
 def series_variables(q: Quiver) -> tuple[str, ...]:
     """One series variable per vertex, in vertex order: ``t_<vertex>``."""
     return tuple(f"t_{v}" for v in q.vertices)
-
-
-def _dim_box(n: int, order: int) -> Iterator[tuple[int, ...]]:
-    """All n-tuples with nonnegative entries and total <= order, in
-    lexicographic order."""
-    return (k for k in itertools.product(range(order + 1), repeat=n) if sum(k) <= order)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +285,8 @@ def stack_series_from_kac(
     num = LaurentPoly.q_power(1) if kac_factor == "q/(q-1)" else LaurentPoly.one()
     factor = RationalFunction(num, LaurentPoly.q_power(1) - LaurentPoly.one())
     variables = series_variables(k.quiver)
-    arg = TruncSeries.zero(variables, order)
-    for key in _dim_box(len(variables), order):
+    terms = {}
+    for key in degree_box(len(variables), order):
         if not any(key):
             continue
         if key not in k.entries:
@@ -301,9 +295,8 @@ def stack_series_from_kac(
                     f"Kac table is missing dimension vector {key} needed at order {order}"
                 )
             continue
-        coeff = RationalFunction.from_laurent(k.entries[key]) * factor
-        arg = arg + TruncSeries.monomial(variables, order, key, coeff)
-    return pleth_exp(arg)
+        terms[key] = RationalFunction.from_laurent(k.entries[key]) * factor
+    return pleth_exp(TruncSeries(variables, order, terms))
 
 
 def kac_from_stack_series(
@@ -345,7 +338,7 @@ def kac_from_stack_series(
     )  # (q-1)/q
     entries = {}
     prov = {}
-    for key in _dim_box(len(variables), g.order):
+    for key in degree_box(len(variables), g.order):
         if not any(key):
             continue
         c = lg.coeff(key) * inv_factor
@@ -508,7 +501,7 @@ def wallcross_check(
     if order < 1:
         raise DTSeriesError("wall-crossing check needs order >= 1")
     nverts = len(q.vertices)
-    keys = [k for k in _dim_box(nverts, order) if any(k)]
+    keys = [k for k in degree_box(nverts, order) if any(k)]
     total_tw: dict[tuple[int, ...], Fraction] = {}
     sst_tw: dict[tuple[int, ...], Fraction] = {}
     slopes_of: dict[tuple[int, ...], Fraction] = {}
@@ -590,7 +583,7 @@ def nakajima_series(
     fv = f if isinstance(f, DimVector) else q.dim(f)
     fq = frame(q, fv)
     dims = []
-    for key in _dim_box(len(q.vertices), order):
+    for key in degree_box(len(q.vertices), order):
         for framing in (0, 1):
             full = (framing,) + key
             if any(full):
@@ -608,7 +601,7 @@ def nakajima_series(
     g0 = g.slice_var(frame_var, 0).truncate(order)
     ratio = g1 / g0
     out: dict[tuple[int, ...], LaurentPoly] = {}
-    for key in _dim_box(len(q.vertices), order):
+    for key in degree_box(len(q.vertices), order):
         if not any(key):
             out[key] = LaurentPoly.one()
             continue
@@ -650,10 +643,7 @@ def char_stack_series(order: int, form: str = "exp") -> TruncSeries:
     variables = ("t",)
     if form == "exp":
         qm1 = RationalFunction.from_laurent(LaurentPoly.q_power(1) - LaurentPoly.one())
-        arg = TruncSeries.zero(variables, order)
-        for j in range(1, order + 1):
-            arg = arg + TruncSeries.monomial(variables, order, (j,), qm1)
-        return pleth_exp(arg)
+        return pleth_exp(TruncSeries(variables, order, {(j,): qm1 for j in range(1, order + 1)}))
     if form == "product":
         acc = TruncSeries.one(variables, order)
         for j in range(1, order + 1):
@@ -663,7 +653,7 @@ def char_stack_series(order: int, form: str = "exp") -> TruncSeries:
             den = TruncSeries.one(variables, order) - TruncSeries.monomial(
                 variables, order, (j,), RationalFunction.from_laurent(LaurentPoly.q_power(1))
             )
-            acc = acc * num * den.invert()
+            acc = acc * num / den
         return acc
     raise DTSeriesError(f"unknown form {form!r}; options: exp, product")
 
@@ -692,7 +682,7 @@ def hilb3_series(order: int) -> TruncSeries:
                 (m,),
                 RationalFunction.from_laurent(LaurentPoly.q_power(e)),
             )
-            acc = acc * factor.invert()
+            acc = acc / factor
     return acc
 
 

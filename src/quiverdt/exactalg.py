@@ -30,10 +30,23 @@ The plethystic exponential uses the Adams operations
     Log(g) = sum_{n>=1} mu(n)/n psi_n(log g), g with constant term 1,
 
 and ``Log(Exp(f)) = f`` to the truncation order.
+
+Division, Exp and Log are one degree-by-degree recurrence (``_solve``): the
+coefficients y_k are set in order of total degree |k|, each from the
+already known y_{k-j}.  With the Euler operator ``E: t^k -> |k| t^k``, which
+satisfies ``E psi_n = n psi_n E``:
+
+    a / b:   b_0 y_k = a_k - sum_{0<j<=k} b_j y_{k-j},
+    Exp(f):  E g = g * sum_n psi_n(E f),  so |k| g_k = sum_{0<j<=k} h_j g_{k-j},
+    Log(g):  E^-1 sum_n mu(n) psi_n(E g / g),
+
+and ``invert()`` is ``1 / f``.  Each is one pass over the total-degree box,
+about the cost of one series product.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from math import gcd
@@ -45,6 +58,7 @@ __all__ = [
     "RationalFunction",
     "TruncSeries",
     "adams",
+    "degree_box",
     "pleth_exp",
     "pleth_log",
     "mobius",
@@ -842,23 +856,15 @@ class TruncSeries:
 
     def invert(self) -> TruncSeries:
         """Multiplicative inverse; requires an invertible constant term."""
-        c = self.constant_term()
-        if c.is_zero():
-            raise ExactAlgError("cannot invert a series with zero constant term")
-        # f = c (1 - h) with val(h) >= 1  =>  1/f = (1/c) sum h^k.
-        inv_c = RF_ONE / c
-        h = TruncSeries.one(self.variables, self.order) - self.scale(inv_c)
-        result = TruncSeries.one(self.variables, self.order)
-        power = TruncSeries.one(self.variables, self.order)
-        for _ in range(self.order):
-            power = power * h
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(inv_c)
+        return TruncSeries.one(self.variables, self.order) / self
 
     def __truediv__(self, other: TruncSeries) -> TruncSeries:
-        return self * other.invert()
+        order = self._align(other)
+        c = other.constant_term()
+        if c.is_zero():
+            raise ExactAlgError("cannot invert a series with zero constant term")
+        a, inv_c = self.terms, RF_ONE / c
+        return _solve(other.truncate(order), lambda k, s: (a.get(k, RF_ZERO) - s) * inv_c)
 
     # -- variable surgery ---------------------------------------------------
 
@@ -930,34 +936,37 @@ def adams(n: int, f: TruncSeries) -> TruncSeries:
     return TruncSeries(f.variables, f.order, t)
 
 
-def _exp(f: TruncSeries) -> TruncSeries:
-    """Truncated exponential of a series with zero constant term."""
-    if not f.constant_term().is_zero():
-        raise ExactAlgError("exp requires zero constant term")
-    result = TruncSeries.one(f.variables, f.order)
-    term = TruncSeries.one(f.variables, f.order)
-    for k in range(1, f.order + 1):
-        term = (term * f).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
+def degree_box(n: int, order: int) -> list[tuple[int, ...]]:
+    """All n-tuples of nonnegative integers with total <= order, in
+    lexicographic order."""
+    return [k for k in itertools.product(range(order + 1), repeat=n) if sum(k) <= order]
 
 
-def _log(g: TruncSeries) -> TruncSeries:
-    """Truncated logarithm of a series with constant term 1."""
-    if not g.constant_term().is_one():
-        raise ExactAlgError("log requires constant term 1")
-    h = g - TruncSeries.one(g.variables, g.order)
-    result = TruncSeries.zero(g.variables, g.order)
-    power = TruncSeries.one(g.variables, g.order)
-    for k in range(1, g.order + 1):
-        power = power * h
-        if power.is_zero():
-            break
-        sign = 1 if k % 2 == 1 else -1
-        result = result + power.scale(Fraction(sign, k))
-    return result
+def _solve(f: TruncSeries, step) -> TruncSeries:
+    """The series y with ``y_k = step(k, sum_{0<j<=k} f_j y_{k-j})``.
+
+    Keys are visited in order of total degree, so every y_{k-j} on the right
+    is already known; k runs over f's whole box, the zero key included."""
+    fj = [(j, v) for j, v in f.terms.items() if any(j)]
+    y: dict[tuple[int, ...], RationalFunction] = {}
+    for k in sorted(degree_box(len(f.variables), f.order), key=sum):
+        s = RF_ZERO
+        for j, v in fj:
+            r = tuple(a - b for a, b in zip(k, j))
+            if r in y:
+                s = s + v * y[r]
+        yk = step(k, s)
+        if not yk.is_zero():
+            y[k] = yk
+    return TruncSeries(f.variables, f.order, y)
+
+
+def _euler(f: TruncSeries, power: int = 1) -> TruncSeries:
+    """The Euler operator ``E: t^k -> |k| t^k``, or its inverse on a series
+    with zero constant term for ``power=-1``."""
+    return TruncSeries(
+        f.variables, f.order, {k: v.scale(Fraction(sum(k)) ** power) for k, v in f.terms.items()}
+    )
 
 
 def mobius(n: int) -> int:
@@ -986,13 +995,11 @@ def pleth_exp(f: TruncSeries) -> TruncSeries:
     """
     if not f.constant_term().is_zero():
         raise ExactAlgError("Exp requires zero constant term")
-    acc = TruncSeries.zero(f.variables, f.order)
+    ef = _euler(f)
+    h = TruncSeries.zero(f.variables, f.order)
     for n in range(1, f.order + 1):
-        a = adams(n, f)
-        if a.is_zero():
-            continue
-        acc = acc + a.scale(Fraction(1, n))
-    return _exp(acc)
+        h = h + adams(n, ef)
+    return _solve(h, lambda k, s: s.scale(Fraction(1, sum(k))) if any(k) else RF_ONE)
 
 
 def pleth_log(g: TruncSeries) -> TruncSeries:
@@ -1002,17 +1009,13 @@ def pleth_log(g: TruncSeries) -> TruncSeries:
     """
     if not g.constant_term().is_one():
         raise ExactAlgError("Log requires constant term 1")
-    lg = _log(g)
+    d = _euler(g) / g
     acc = TruncSeries.zero(g.variables, g.order)
     for n in range(1, g.order + 1):
         mu = mobius(n)
-        if mu == 0:
-            continue
-        a = adams(n, lg)
-        if a.is_zero():
-            continue
-        acc = acc + a.scale(Fraction(mu, n))
-    return acc
+        if mu:
+            acc = acc + adams(n, d).scale(mu)
+    return _euler(acc, -1)
 
 
 def series_invert(f: TruncSeries) -> TruncSeries:

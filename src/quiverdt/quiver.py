@@ -191,18 +191,12 @@ class StabilityCondition:
             quiver.vertices, tuple(Fraction(re[v]) for v in quiver.vertices)
         )
 
-    def is_degenerate(self) -> bool:
-        return all(a == 0 for a in self.real_parts)
-
 
 @dataclass(frozen=True)
 class HNType:
     """An ordered tuple of nonzero dimension vectors with strictly descending slopes."""
 
     parts: tuple[tuple[int, ...], ...]
-
-    def num_parts(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True)

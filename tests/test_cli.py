@@ -196,6 +196,16 @@ def test_unknown_subcommand_usage_error(jordan_file):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["hilb3", "--order", "2", "--workers", "2"], ["charstack", "--order", "2", "--point-budget", "9"]],
+)
+def test_flag_the_subcommand_never_reads_is_usage_error(argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+
+
 def test_composite_prime_rejected(jordan_file, capsys):
     code = main(["kac", "--quiver", jordan_file, "--dim", "2", "--primes", "2,3,4,5"])
     assert code == 2

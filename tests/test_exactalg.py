@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: Laurent polynomials in the half twist u,
 canonical rational functions, truncated series, plethystic Exp/Log."""
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -312,8 +313,10 @@ def test_series_invert_geometric():
 
 
 def test_series_invert_requires_unit_constant():
-    with pytest.raises(ExactAlgError):
+    with pytest.raises(ExactAlgError, match="zero constant term"):
         series_invert(_mono((1, 0)))
+    with pytest.raises(ExactAlgError, match="zero constant term"):
+        TruncSeries.one(V, 5) / _mono((1, 0))
 
 
 def test_series_division():
@@ -412,3 +415,80 @@ def test_exp_is_multiplicative_on_sums():
     lhs = pleth_exp(f + g)
     rhs = pleth_exp(f) * pleth_exp(g)
     assert (lhs - rhs).is_zero()
+
+
+# -- the degree-by-degree solver against the textbook power sums ----------------------
+
+_COEFFS = [
+    RationalFunction.from_int(1),
+    RationalFunction.from_int(-2),
+    RationalFunction.from_fraction(Fraction(1, 3)),
+    RationalFunction.from_laurent(Q(1)),
+    RationalFunction.from_laurent(U(1) - Q(2)),
+    RationalFunction(Q(1), Q(1) - ONE),
+]
+# Constant terms that are units but not 1, one of them not even Laurent.
+_UNITS = [
+    RationalFunction.from_laurent(Q(1)),
+    RationalFunction.from_laurent(Q(1) + ONE),
+    RationalFunction.from_int(-2),
+    RationalFunction(ONE, Q(1) - ONE),
+]
+
+
+@st.composite
+def _series(draw, variables, order):
+    """A series with zero constant term and coefficients from _COEFFS."""
+    keys = itertools.product(range(order + 1), repeat=len(variables))
+    terms = {k: draw(st.sampled_from(_COEFFS)) for k in keys if 0 < sum(k) <= order}
+    return TruncSeries(variables, order, {k: v for k, v in terms.items() if draw(st.booleans())})
+
+
+def _textbook_exp(f):
+    """sum_k F^k / k! with F = sum_n psi_n(f) / n."""
+    big_f = TruncSeries.zero(f.variables, f.order)
+    for n in range(1, f.order + 1):
+        big_f = big_f + adams(n, f).scale(Fraction(1, n))
+    out, fact = TruncSeries.zero(f.variables, f.order), 1
+    for k in range(f.order + 1):
+        fact *= max(k, 1)
+        out = out + (big_f**k).scale(Fraction(1, fact))
+    return out
+
+
+def _textbook_log(g):
+    """sum_n mu(n)/n psi_n(log g), log g by the Mercator series in h = g - 1."""
+    h = g - TruncSeries.one(g.variables, g.order)
+    lg = TruncSeries.zero(g.variables, g.order)
+    for k in range(1, g.order + 1):
+        lg = lg + (h**k).scale(Fraction((-1) ** (k + 1), k))
+    out = TruncSeries.zero(g.variables, g.order)
+    for n in range(1, g.order + 1):
+        out = out + adams(n, lg).scale(Fraction(mobius(n), n))
+    return out
+
+
+def _geometric_inverse(b):
+    """(1/c) sum_k h^k for b = c (1 - h)."""
+    inv_c = RationalFunction.one() / b.constant_term()
+    h = TruncSeries.one(b.variables, b.order) - b.scale(inv_c)
+    out = TruncSeries.zero(b.variables, b.order)
+    for k in range(b.order + 1):
+        out = out + h**k
+    return out.scale(inv_c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solver_matches_textbook_sums(data):
+    variables = data.draw(st.sampled_from([("t",), ("x", "y")]))
+    order = data.draw(st.integers(0, 4))
+    f = data.draw(_series(variables, order))
+    one = TruncSeries.one(variables, order)
+    assert pleth_exp(f) == _textbook_exp(f)
+    assert pleth_log(one + f) == _textbook_log(one + f)
+    c = data.draw(st.sampled_from(_UNITS))
+    b = f + one.scale(c)
+    assert series_invert(b) == _geometric_inverse(b)
+    a = data.draw(_series(variables, data.draw(st.integers(0, 4))))
+    assert a / b == a * b.invert()
