@@ -11,15 +11,21 @@ through :mod:`quiverdt.modp`.  Each chunk passes through up to four stages:
   vector (a GL-invariant mask, so counting it is counting semistable points);
 * orbit slicing, for classified censuses: of the kept points, only those
   whose matrix on the first arrow with cells is the canonical
-  representative c_C of its GL-orbit C (a rational canonical form for a
-  loop, a rank normal form otherwise) go on, weighted by |C|.  Every
-  quantity classification sums is GL_d-invariant, and so is the filter, so
-  sum_x f(x) = sum_C |C| sum_rest f(c_C, rest).  Two guards raise
-  :class:`CensusError`: the orbit sizes must sum to p^(cells of the arrow),
-  and the orbit-weighted count of the kept representatives must equal the
-  number of kept points.  The filter still sees every point, so the point
-  budget counts raw points;
+  representative c_C of its GL-orbit C (for a loop, the block-diagonal
+  companion matrix of a primary decomposition; a rank normal form
+  otherwise) go on, weighted by |C|.  Every quantity classification sums
+  is GL_d-invariant, and so is the filter, so
+  sum_x f(x) = sum_C |C| sum_rest f(c_C, rest).  The orbit sizes come in
+  closed form; no End is enumerated to build the table.  Three guards raise
+  :class:`CensusError`: every centraliser order must divide |GL_n|, the
+  orbit sizes must sum to p^(cells of the arrow), and the orbit-weighted
+  count of the kept representatives must equal the number of kept points.
+  The filter still sees every point, so the point budget counts raw points;
 * classification, through the endomorphism algebra of each representative.
+  When the sliced arrow is a loop carrying every cell and every dimension
+  of the workspace, a point is its loop matrix and End is its centraliser,
+  so the classification is read from the orbit table and no End is
+  enumerated (nor charged to the End budget).
 
 Every public count is a view of the totals of one scan:
 
@@ -44,7 +50,15 @@ Counting facts the classifier relies on, for A = End(rho) with #A = p^e:
   A/J(A) = prod_i Mat_{n_i}(F_{p^{r_i}}), nilpotents biject with
   J x prod_i {nilpotents of Mat_{n_i}}, and #nilpotent matrices in
   Mat_n(F_q) is q^(n^2-n), so #nilpotents(A) = p^(e - sum_i r_i n_i); this
-  equals p^(e-1) exactly when A/J(A) = F_p.
+  equals p^(e-1) exactly when A/J(A) = F_p;
+* for x in M_n(F_p) with primary decomposition x ~ sum_f sum_i C(f^(lam_f)_i)
+  (f monic irreducible, Q = p^deg(f), lam_f a partition, m_k(lam) the
+  multiplicity of the part k, <lam,lam> = sum_k (lam'_k)^2 with lam' the
+  conjugate), the centraliser algebra A = End(x) has e = sum_f deg(f)
+  <lam_f,lam_f>, A/J(A) = prod_f prod_k Mat_{m_k(lam_f)}(F_Q), so
+  #nilpotents = p^(e - sum_f deg(f) len(lam_f)), and
+  |Aut| = |C_GL(x)| = prod_f Q^<lam_f,lam_f> prod_k prod_{j=1}^{m_k} (1 - Q^-j)
+  (J. Hua, J. Algebra 226 (2000)).
 
 Unit/nilpotent counts are gathered projectively: lambda*x is a unit (resp.
 nilpotent) iff x is, so only vectors with leading coefficient 1 are tested
@@ -52,7 +66,8 @@ and counts are rescaled by p-1.
 
 All caps are explicit and raise :class:`CapExceeded`; nothing truncates
 silently.  The point, word, subspace and End-system column caps are checked
-before the first chunk is enumerated.
+before the first chunk is enumerated, and so is the End budget against the
+scalar matrices of a sliced loop whose representatives go through End.
 """
 
 from __future__ import annotations
@@ -522,20 +537,24 @@ class _OrbitTable:
     ``cells`` base-p digits of a point index (least significant first) and
     its matrix has the arrow index ``idx % p**cells``.  ``reps`` holds the
     sorted arrow indices of the representatives and ``sizes`` their orbit
-    sizes; both arrays are read-only.  With no arrow cells the table is one
-    point of weight 1."""
+    sizes.  ``ends``, when given, holds the (e, units, nilpotents) of each
+    representative's endomorphism algebra, one row each; it is given only
+    when the arrow is a loop carrying every cell and every dimension of the
+    workspace, so that a point is its loop matrix.  All arrays are read-only.
+    With no arrow cells the table is one point of weight 1."""
 
     cells: int
     reps: np.ndarray
     sizes: np.ndarray
+    ends: np.ndarray | None = None
 
     def locate(self, idx: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         """For point indices: the mask of those whose arrow matrix is a
-        representative, and the orbit sizes of the masked points."""
+        representative, and the table slots of the masked points."""
         key = idx % p ** self.cells
         slot = np.minimum(np.searchsorted(self.reps, key), self.reps.size - 1)
         hit = self.reps[slot] == key
-        return hit, self.sizes[slot[hit]]
+        return hit, slot[hit]
 
 
 def _divides(f: tuple[int, ...], g: tuple[int, ...], p: int) -> bool:
@@ -551,46 +570,88 @@ def _divides(f: tuple[int, ...], g: tuple[int, ...], p: int) -> bool:
     return not any(r[:k])
 
 
-def _similarity_orbits(n: int, p: int, end_budget: int) -> tuple[np.ndarray, list[int]]:
-    """The similarity classes of n x n matrices over F_p: one rational
-    canonical form (block-diagonal companion matrices of monic invariant
-    factors f_1 | f_2 | ...) per class, and the class size |GL_n| / |C(x)|,
-    the centraliser order being the unit count of the one-loop
-    representation x from :func:`_end_counts` (charged to ``end_budget``)."""
-    monic = {k: [c + (1,) for c in product(range(p), repeat=k)] for k in range(1, n + 1)}
+def _poly_mul(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The product of two polynomials over F_p (coefficients low to high)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
 
-    def chains(prev: tuple[int, ...] | None, left: int):
+
+def _partitions(n: int, most: int) -> list[tuple[int, ...]]:
+    """The partitions of n with every part at most ``most``, parts in
+    non-increasing order.  (Kept apart from the acceptance suite's partition
+    oracle, which must not share code with what it checks.)"""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, most), 0, -1) for rest in _partitions(n - k, k)]
+
+
+def _pairing(lam: tuple[int, ...]) -> int:
+    """<lam, lam> = sum_k (lam'_k)^2, where lam' is the conjugate partition."""
+    return sum(sum(1 for part in lam if part >= k) ** 2 for k in range(1, lam[0] + 1))
+
+
+def _similarity_orbits(n: int, p: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The similarity classes of n x n matrices over F_p by primary
+    decomposition: one partition lam_f per monic irreducible f (found by
+    trial division), with sum_f deg(f) |lam_f| = n.  Returns one
+    representative per class, the block-diagonal companion matrix of the
+    f^(lam_f)_i; the class sizes |GL_n| / |C(x)|; and the (e, units,
+    nilpotents) of each representative's centraliser algebra C(x) = End(x),
+    all in closed form (see the module docstring)."""
+    irreducible: list[tuple[int, ...]] = []  # in order of degree
+    for k in range(1, n + 1):
+        for low in product(range(p), repeat=k):
+            f = low + (1,)
+            if not any(_divides(g, f, p) for g in irreducible if 2 * (len(g) - 1) <= k):
+                irreducible.append(f)
+
+    def types(start: int, left: int):
         if left == 0:
             yield ()
             return
-        for k in range(len(prev) - 1 if prev else 1, left + 1):
-            for f in monic[k]:
-                if prev is None or _divides(prev, f, p):
-                    for rest in chains(f, left - k):
-                        yield (f,) + rest
+        for i in range(start, len(irreducible)):
+            k = len(irreducible[i]) - 1
+            if k > left:
+                break
+            for size in range(1, left // k + 1):
+                for lam in _partitions(size, size):
+                    for rest in types(i + 1, left - k * size):
+                        yield ((irreducible[i], lam),) + rest
 
-    forms = []
-    for chain in chains(None, n):
+    gl = gl_order(jordan_quiver().dim((n,)), p)
+    forms, sizes, ends = [], [], []
+    for typ in types(0, n):
         x = np.zeros((n, n), dtype=np.int64)
-        at = 0
-        for f in chain:
+        at = e = length = 0
+        units = 1
+        for f, lam in typ:
             k = len(f) - 1
-            x[at + 1 : at + k, at : at + k - 1] = np.eye(k - 1, dtype=np.int64)
-            x[at : at + k, at + k - 1] = [-c % p for c in f[:k]]
-            at += k
+            Q = p ** k
+            inner = _pairing(lam)
+            mults = [lam.count(m) for m in set(lam)]
+            # Q^<lam,lam> prod_m prod_{j<=m} (1 - Q^-j), as an exact integer
+            units *= Q ** (inner - sum(m * (m + 1) // 2 for m in mults)) * math.prod(
+                Q ** j - 1 for m in mults for j in range(1, m + 1)
+            )
+            e += k * inner
+            length += k * len(lam)
+            for part in lam:
+                g = (1,)
+                for _ in range(part):
+                    g = _poly_mul(g, f, p)
+                d = len(g) - 1
+                x[at + 1 : at + d, at : at + d - 1] = np.eye(d - 1, dtype=np.int64)
+                x[at : at + d, at + d - 1] = [-c % p for c in g[:d]]
+                at += d
+        if gl % units:
+            raise CensusError(f"a centraliser order does not divide |GL_{n}(F_{p})| = {gl}")
         forms.append(x)
-    mats = np.array(forms)
-    loop = jordan_quiver()
-    dim = loop.dim((n,))
-    one_loop = _Workspace(loop, dim, "none", None)
-    _e, units, _n = _end_counts(
-        one_loop, {"x": mats.astype(field_dtype(p))}, p, end_budget, len(forms)
-    )
-    gl = gl_order(dim, p)
-    sizes = [gl // u for u in units.tolist()]
-    if any(gl % u for u in units.tolist()):
-        raise CensusError(f"a centraliser order does not divide |GL_{n}(F_{p})| = {gl}")
-    return mats, sizes
+        sizes.append(gl // units)
+        ends.append((e, units, p ** (e - length)))
+    return np.array(forms), sizes, np.array(ends, dtype=np.int64)
 
 
 def _rank_orbits(m: int, n: int, p: int) -> tuple[np.ndarray, list[int]]:
@@ -610,13 +671,26 @@ def _rank_orbits(m: int, n: int, p: int) -> tuple[np.ndarray, list[int]]:
 def _orbit_table(ws: _Workspace, p: int, end_budget: int) -> _OrbitTable:
     """The orbit table of the first work arrow with cells: similarity
     classes for a loop, rank normal forms between two vertices, the single
-    empty matrix when no arrow has cells.  The orbit sizes must sum to
-    p^cells, or :class:`CensusError` is raised."""
+    empty matrix when no arrow has cells.  No endomorphism algebra is
+    enumerated.  A loop that carries every cell and every dimension of the
+    workspace gets the closed-form endomorphism data of its classes, and the
+    scan enumerates no End either.  For any other loop the scan enumerates
+    End on representatives whose loop matrix may be scalar, with centraliser
+    M_n(F_p) of (p^(n^2) - 1)/(p - 1) projective elements; an ``end_budget``
+    below that raises :class:`CapExceeded` here, before the first chunk.
+    The orbit sizes must sum to p^cells, or :class:`CensusError` is raised."""
     first = next((a for a in ws.work.arrows if ws.vdims[a.src] * ws.vdims[a.tgt]), None)
+    ends = None
     if first is None:
         mats, sizes = _rank_orbits(0, 0, p)
     elif first.src == first.tgt:
-        mats, sizes = _similarity_orbits(ws.vdims[first.src], p, end_budget)
+        n = ws.vdims[first.src]
+        mats, sizes, loop_ends = _similarity_orbits(n, p)
+        scalar_end = (p ** (n * n) - 1) // (p - 1)
+        if ws.total_cells == ws.end_cols == n * n:
+            ends = loop_ends
+        elif scalar_end > end_budget:
+            raise CapExceeded("endomorphism enumeration", scalar_end, end_budget)
     else:
         mats, sizes = _rank_orbits(ws.vdims[first.tgt], ws.vdims[first.src], p)
     cells = mats.shape[1] * mats.shape[2]
@@ -624,10 +698,12 @@ def _orbit_table(ws: _Workspace, p: int, end_budget: int) -> _OrbitTable:
         raise CensusError(f"orbit sizes sum to {sum(sizes)}, not to p^{cells} = {p ** cells}")
     keys = mats.reshape(len(sizes), cells) @ (np.int64(p) ** np.arange(cells, dtype=np.int64))
     order = np.argsort(keys)
-    reps, weights = keys[order], np.array(sizes, dtype=np.int64)[order]
-    reps.setflags(write=False)
-    weights.setflags(write=False)
-    return _OrbitTable(cells, reps, weights)
+    arrays = [keys[order], np.array(sizes, dtype=np.int64)[order]]
+    if ends is not None:
+        arrays.append(ends[order])
+    for a in arrays:
+        a.setflags(write=False)
+    return _OrbitTable(cells, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +817,9 @@ def _scan(
     """Totals over every point of the workspace: the filter-kept points, of
     them the semistable ones (when ``stability`` is given), and the
     Burnside unit sums (when ``need_classes``), taken over the kept orbit
-    representatives of :func:`_orbit_table` weighted by orbit size."""
+    representatives of :func:`_orbit_table` weighted by orbit size.  The
+    representatives' endomorphism data is read from the table by slot when
+    it carries it, and computed by :func:`_end_counts` otherwise."""
     if not is_prime(p):
         raise CensusError(f"modulus {p} is not prime")
     raw = p ** ws.total_cells
@@ -771,11 +849,15 @@ def _scan(
             t.semistable = int(_semistable_mask(ws, kept, p, destabilisers, t.points).sum())
         if need_classes:
             sel = np.flatnonzero(mask)
-            hit, w = orbits.locate(sel + lo, p)
+            hit, slot = orbits.locate(sel + lo, p)
+            w = orbits.sizes[slot]
             t.represented = sum(w.tolist())
             if w.size:
-                reps = {k: v[sel[hit]] for k, v in mats.items()}
-                e_arr, units, nilps = _end_counts(ws, reps, p, end_budget, w.size)
+                if orbits.ends is not None:
+                    e_arr, units, nilps = orbits.ends[slot].T
+                else:
+                    reps = {k: v[sel[hit]] for k, v in mats.items()}
+                    e_arr, units, nilps = _end_counts(ws, reps, p, end_budget, w.size)
                 pe = np.power(np.int64(p), e_arr)
 
                 def weighted(keep) -> int:

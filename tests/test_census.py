@@ -24,6 +24,7 @@ from quiverdt.census import (
     stack_count,
 )
 from quiverdt.exactalg import LaurentPoly
+from quiverdt.modp import index_to_digits
 from quiverdt.quiver import (
     Arrow,
     Quiver,
@@ -352,6 +353,28 @@ def test_end_budget_cap_on_endomorphism_algebra():
     assert ei.value.kind == "endomorphism enumeration"
 
 
+def test_end_budget_refuses_scalar_end_before_first_chunk(no_chunks):
+    # the preprojective scan enumerates End(scalar, scalar) = M_2(F_3), with
+    # (3^4 - 1)/2 = 40 projective elements
+    with pytest.raises(CapExceeded) as ei:
+        census_report(JQ, JQ.dim((2,)), 3, "preprojective", end_budget=39)
+    assert (ei.value.kind, ei.value.required, ei.value.budget) == ("endomorphism enumeration", 40, 39)
+
+
+def test_end_budget_charges_only_enumerated_end(monkeypatch):
+    full = census_report(JQ, JQ.dim((2,)), 3, "preprojective")
+    assert census_report(JQ, JQ.dim((2,)), 3, "preprojective", end_budget=40) == full
+
+    def refuse(*args):
+        raise AssertionError("a loop-only census enumerated End")
+
+    # a loop-only census reads its classification from the orbit table and
+    # charges no End, whatever the size of M_3(F_5) (488,281 projective elements)
+    monkeypatch.setattr(census, "_end_counts", refuse)
+    r = census_report(JQ, JQ.dim((3,)), 5, end_budget=1000)
+    assert (r.iso_classes, r.indecomposable_classes, r.abs_indecomposable_classes) == (155, 45, 5)
+
+
 def test_subspace_budget_cap(no_chunks):
     z = StabilityCondition.from_map(A2, {"1": -1, "2": 0})
     with pytest.raises(CapExceeded) as ei:
@@ -430,6 +453,36 @@ def test_jordan_classes_are_similarity_classes(p):
     assert (three.iso_classes, three.indecomposable_classes, three.abs_indecomposable_classes) == (
         p ** 3 + p ** 2 + p, p + (p ** 3 - p) // 3, p
     )
+    if p == 2:
+        # p^4 + p^3 + 2p^2 + p classes; f^k with deg(f) k = 4: two linear f,
+        # one irreducible quadratic and three irreducible quartics
+        four = census_report(JQ, JQ.dim((4,)), p)
+        assert (four.iso_classes, four.indecomposable_classes, four.abs_indecomposable_classes) == (
+            34, 6, 2
+        )
+
+
+@pytest.mark.parametrize(
+    "n, p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 5), (4, 2)]
+)
+def test_closed_form_classes_match_end_enumeration(n, p):
+    # every similarity class: the table's closed-form (size, e, units,
+    # nilpotents) against the End enumeration of its representative
+    ws = census._Workspace(JQ, JQ.dim((n,)), "none", None)
+    table = census._orbit_table(ws, p, census.DEFAULT_END_BUDGET)
+    reps = index_to_digits(table.reps, table.cells, p).reshape(-1, n, n)
+    e, units, nilps = census._end_counts(ws, {"x": reps}, p, census.DEFAULT_END_BUDGET, len(reps))
+    gl = gl_order(JQ.dim((n,)), p)
+    enumerated = [(gl // u, a, u, b) for a, u, b in zip(e.tolist(), units.tolist(), nilps.tolist())]
+    closed = [(s, *row) for s, row in zip(table.sizes.tolist(), table.ends.tolist())]
+    assert closed == enumerated
+
+
+def test_centraliser_order_not_dividing_gl_raises(monkeypatch):
+    real = census._pairing
+    monkeypatch.setattr(census, "_pairing", lambda lam: real(lam) + 1)
+    with pytest.raises(CensusError, match="does not divide"):
+        census_report(JQ, JQ.dim((2,)), 2)
 
 
 def _every_point_table(ws, p, end_budget):
@@ -441,6 +494,9 @@ def _every_point_table(ws, p, end_budget):
 # an arrow into a vertex carrying a loop: with d=(0, 2) the first arrow has
 # no cells and the loop is sliced instead
 A2_LOOP = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("x", "2", "2")))
+# a loop and a vertex with no arrow: the loop carries every cell but not every
+# dimension, so End is not the centraliser of the loop alone
+LOOP_AND_POINT = Quiver(("1", "2"), (Arrow("x", "1", "1"),))
 
 SLICED_CASES = [
     (JQ, (2,), 3, "preprojective", None),
@@ -450,13 +506,17 @@ SLICED_CASES = [
     (multi_loop_quiver(2), (2,), 2, "none", None),
     (multi_loop_quiver(2), (2,), 3, "none", None),
     (JQ, (3,), 2, "none", loops_nilpotent_constraint(JQ)),
+    (JQ, (3,), 2, "none", None),
+    (JQ, (2,), 5, "none", None),
+    (LOOP_AND_POINT, (2, 1), 3, "none", None),
 ]
 
 
 @pytest.mark.parametrize(
     "q, dims, p, relations, s",
     SLICED_CASES,
-    ids=["jordan-pp-d2-p3", "a2loop-d02-p3", "a2loop-d12-p2", "a2-d22-p3", "2loop-d2-p2", "2loop-d2-p3", "jordan-sn-d3-p2"],
+    ids=["jordan-pp-d2-p3", "a2loop-d02-p3", "a2loop-d12-p2", "a2-d22-p3", "2loop-d2-p2", "2loop-d2-p3", "jordan-sn-d3-p2",
+         "jordan-d3-p2", "jordan-d2-p5", "loop-point-d21-p3"],
 )
 def test_sliced_census_equals_unsliced(monkeypatch, q, dims, p, relations, s):
     sliced = census_report(q, q.dim(dims), p, relations, s)
@@ -470,6 +530,7 @@ def test_orbit_table_sizes_sum_to_arrow_space():
         table = census._orbit_table(ws, p, census.DEFAULT_END_BUDGET)
         assert sum(table.sizes.tolist()) == p ** table.cells
         assert not table.reps.flags.writeable and not table.sizes.flags.writeable
+        assert table.ends is None or not table.ends.flags.writeable
     # the point quiver has no arrow cells: one point of weight 1
     assert table.cells == 0 and table.reps.tolist() == [0] and table.sizes.tolist() == [1]
     # the loop, not the cell-less first arrow, is sliced: 3^2 + 3 similarity classes
@@ -480,11 +541,13 @@ def test_orbit_table_sizes_sum_to_arrow_space():
 
 
 def test_sliced_census_deterministic_across_workers_and_chunks(monkeypatch):
-    L2 = multi_loop_quiver(2)
-    reports = [census_report(L2, L2.dim((2,)), 3, workers=w) for w in (1, 2, 8)]
+    # the 2-loop census classifies through End, the Jordan one reads the table
+    cases = [(multi_loop_quiver(2), (2,)), (JQ, (3,))]
+    reports = [[census_report(q, q.dim(d), 3, workers=w) for w in (1, 2, 8)] for q, d in cases]
     monkeypatch.setattr(census, "_MAX_CHUNK", 7)  # representatives split across chunks
-    reports += [census_report(L2, L2.dim((2,)), 3, workers=w) for w in (1, 2, 8)]
-    assert all(r == reports[0] for r in reports)
+    for (q, d), runs in zip(cases, reports):
+        runs += [census_report(q, q.dim(d), 3, workers=w) for w in (1, 2, 8)]
+        assert all(r == runs[0] for r in runs)
 
 
 @pytest.mark.parametrize("orbits", ["_similarity_orbits", "_rank_orbits"])
@@ -492,8 +555,8 @@ def test_corrupted_orbit_size_raises(monkeypatch, orbits):
     real = getattr(census, orbits)
 
     def corrupted(*args):
-        mats, sizes = real(*args)
-        return mats, [sizes[0] + 1] + sizes[1:]
+        mats, sizes, *ends = real(*args)
+        return (mats, [sizes[0] + 1] + sizes[1:], *ends)
 
     monkeypatch.setattr(census, orbits, corrupted)
     q, d = (JQ, (2,)) if orbits == "_similarity_orbits" else (A2, (2, 1))
